@@ -57,8 +57,9 @@ obs-smoke:
 	cmp bin/trace_w1.jsonl bin/trace_s4.jsonl
 	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers, and at 4 scheduler shards"
 
-# bench-smoke guards the simulation hot path: the kernel micro-benchmarks,
-# the NI transaction path, and the per-scheme strategy planning paths
+# bench-smoke guards the simulation hot path: the kernel micro-benchmarks
+# (including the queue at real depths with the hardware delay set), the
+# NI transaction path, and the per-scheme strategy planning paths
 # (all of which must stay zero-alloc) plus the end-to-end Fig6a
 # regeneration — serial and at 8 scheduler shards (the BenchmarkFig6aLatency
 # pattern matches both; the serial entry doubles as the 1-shard
@@ -99,12 +100,17 @@ shard-speedup:
 service-smoke:
 	sh scripts/service_smoke.sh
 
-# fuzz-smoke gives the store's entry decoder a short randomized beating
-# on every CI run: Decode must never panic, and any entry it accepts
-# must re-encode byte-identically (acceptance implies integrity). Longer
+# fuzz-smoke gives the store's entry decoder and the event kernel a
+# short randomized beating on every CI run. Decode must never panic, and
+# any entry it accepts must re-encode byte-identically (acceptance
+# implies integrity). The scheduler must dispatch exactly what the
+# sorted-slice reference model does, with exact live and stale counts,
+# under any mix of delay classes, cancels and deadlines. Longer
 # campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m ./internal/store
+# (or FuzzScheduler in ./internal/sim).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 10s ./internal/sim
 
 # test-routing is the scheme-shootout shard: the routing package (the
 # Strategy interface and all five multicast schemes) runs alone with a

@@ -116,11 +116,11 @@ func TestEnergyConservationStrategies(t *testing.T) {
 						}
 					}
 					at := sim.Time(i) * 400 * sim.Picosecond
-					nw.Sched.Schedule(at, func() {
+					nw.Sched.At(at, funcHandler(func() {
 						if _, err := nw.Inject(src, dests); err != nil {
 							t.Error(err)
 						}
-					})
+					}), 0)
 				}
 				nw.Sched.Run()
 
@@ -165,11 +165,11 @@ func TestEnergyConservationRandomMulticast(t *testing.T) {
 					}
 				}
 				at := sim.Time(i) * 400 * sim.Picosecond
-				nw.Sched.Schedule(at, func() {
+				nw.Sched.At(at, funcHandler(func() {
 					if _, err := nw.Inject(src, dests); err != nil {
 						t.Error(err)
 					}
-				})
+				}), 0)
 			}
 			nw.Sched.Run()
 

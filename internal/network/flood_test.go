@@ -9,6 +9,12 @@ import (
 	"asyncnoc/internal/sim"
 )
 
+// funcHandler adapts a closure to sim.Handler, for tests that inject
+// packets at fixed times.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(int64) { f() }
+
 // floodAssertions drives a workload through a speculative network and
 // checks the DESIGN §6 failure-injection contract:
 //
@@ -71,11 +77,11 @@ func TestBroadcastFloodAllSpeculative(t *testing.T) {
 			at := sim.Time(round) * 300 * sim.Picosecond
 			for src := 0; src < 8; src++ {
 				src := src
-				nw.Sched.Schedule(at, func() {
+				nw.Sched.At(at, funcHandler(func() {
 					if _, err := nw.Inject(src, all); err != nil {
 						t.Error(err)
 					}
-				})
+				}), 0)
 			}
 		}
 	})
@@ -92,11 +98,11 @@ func TestMisrouteStormAllSpeculative(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			at := sim.Time(i) * 250 * sim.Picosecond
 			src, dest := r.Intn(8), r.Intn(8)
-			nw.Sched.Schedule(at, func() {
+			nw.Sched.At(at, funcHandler(func() {
 				if _, err := nw.Inject(src, packet.Dest(dest)); err != nil {
 					t.Error(err)
 				}
-			})
+			}), 0)
 		}
 	})
 }
@@ -126,11 +132,11 @@ func TestFloodStrategies(t *testing.T) {
 								}
 							}
 						}
-						nw.Sched.Schedule(at, func() {
+						nw.Sched.At(at, funcHandler(func() {
 							if _, err := nw.Inject(src, dests); err != nil {
 								t.Error(err)
 							}
-						})
+						}), 0)
 					}
 				})
 			})
@@ -158,11 +164,11 @@ func TestFloodHybrids(t *testing.T) {
 							}
 						}
 					}
-					nw.Sched.Schedule(at, func() {
+					nw.Sched.At(at, funcHandler(func() {
 						if _, err := nw.Inject(src, dests); err != nil {
 							t.Error(err)
 						}
-					})
+					}), 0)
 				}
 			})
 		})

@@ -11,6 +11,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"asyncnoc/internal/chiplet"
 	"asyncnoc/internal/fault"
@@ -159,6 +160,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("network %s: die radix %d > %d (destination sets are %d-bit masks; compose smaller dies with a chiplet spec)",
 			s.Name, s.N, packet.MaxDests, packet.MaxDests)
 	}
+	if bits := s.routeBits(); bits > routing.RouteWordBits {
+		return fmt.Errorf("network %s: multicast placement at radix %d needs %d route address bits, above the %d-bit route word",
+			s.Name, s.N, bits, routing.RouteWordBits)
+	}
 	if s.Chiplet != nil {
 		if err := s.Chiplet.Validate(s.N); err != nil {
 			return fmt.Errorf("network %s: %w", s.Name, err)
@@ -168,6 +173,24 @@ func (s Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// routeBits returns the multicast source-route size the spec's placement
+// needs: 0 for the serial baseline, which routes unicast with one bit per
+// level, and for radices Build rejects anyway.
+func (s Spec) routeBits() int {
+	if s.Serial || s.N < 2 || s.N&(s.N-1) != 0 {
+		return 0
+	}
+	levels := bits.Len(uint(s.N)) - 1
+	spec := s.SpecLevels
+	if spec == nil {
+		var err error
+		if spec, err = topology.SchemeLevels(levels, s.Scheme); err != nil {
+			return 0
+		}
+	}
+	return topology.LevelAddressBits(spec)
 }
 
 // TraceKind classifies trace events.

@@ -37,11 +37,11 @@ func runPoolWorkload(t *testing.T, spec Spec, pooled bool) (*Network, []string) 
 			dests = packet.DestSet(r.Uint64() & (1<<uint(spec.N) - 1))
 		}
 		s, d := src, dests
-		nw.Sched.Schedule(at, func() {
+		nw.Sched.At(at, funcHandler(func() {
 			if _, err := nw.Inject(s, d); err != nil {
 				t.Errorf("inject: %v", err)
 			}
-		})
+		}), 0)
 	}
 	nw.Sched.Run()
 	if tracked := nw.Rec.TrackedPackets(); tracked != 0 {
@@ -147,11 +147,11 @@ func TestTxSlabRecycling(t *testing.T) {
 			dests = packet.DestSet(r.Uint64() & 0xff)
 		}
 		s, d := src, dests
-		nw.Sched.Schedule(at, func() {
+		nw.Sched.At(at, funcHandler(func() {
 			if _, err := nw.Inject(s, d); err != nil {
 				t.Errorf("inject: %v", err)
 			}
-		})
+		}), 0)
 	}
 	nw.Sched.Run()
 	if fs := nw.FaultStats(); fs.LostPackets != 0 || fs.Retries != 0 {

@@ -15,6 +15,11 @@ const (
 	chAck sim.Time = 10
 )
 
+// funcHandler adapts a closure to sim.Handler for the rigs below.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(int64) { f() }
+
 // driver feeds a flit sequence into a channel, sending the next flit only
 // after the previous acknowledge returns (as a real upstream stage would).
 type driver struct {
@@ -57,7 +62,7 @@ type sink struct {
 func (s *sink) OnFlit(port int, f packet.Flit) {
 	s.got = append(s.got, recv{f, s.sched.Now(), port})
 	if !s.hold {
-		s.sched.After(s.ackAfter, s.ch.Ack)
+		s.sched.In(s.ackAfter, funcHandler(s.ch.Ack), 0)
 	}
 }
 
@@ -98,7 +103,7 @@ func newRigCap(t *testing.T, kind Kind, heap int, scheme topology.Scheme, fifoCa
 
 func (r *rig) inject(p *packet.Packet) {
 	r.drv.queue = append(r.drv.queue, p.Flits()...)
-	r.sched.Schedule(0, r.drv.pump)
+	r.sched.At(0, funcHandler(r.drv.pump), 0)
 }
 
 func mkPacket(t *testing.T, scheme topology.Scheme, dests packet.DestSet, length int) *packet.Packet {
@@ -419,7 +424,7 @@ func TestFaninForwardsSingleInput(t *testing.T) {
 	r := newFaninRig(t)
 	p := &packet.Packet{ID: 1, Length: 3}
 	r.drv[0].queue = p.Flits()
-	r.sched.Schedule(0, r.drv[0].pump)
+	r.sched.At(0, funcHandler(r.drv[0].pump), 0)
 	r.sched.Run()
 	if len(r.out.got) != 3 {
 		t.Fatalf("forwarded %d flits, want 3", len(r.out.got))
@@ -439,8 +444,8 @@ func TestFaninWormholeLock(t *testing.T) {
 	b := &packet.Packet{ID: 2, Length: 2}
 	r.drv[0].queue = a.Flits()
 	r.drv[1].queue = b.Flits()
-	r.sched.Schedule(0, r.drv[0].pump)
-	r.sched.Schedule(1, r.drv[1].pump) // b's header arrives just after a's
+	r.sched.At(0, funcHandler(r.drv[0].pump), 0)
+	r.sched.At(1, funcHandler(r.drv[1].pump), 0) // b's header arrives just after a's
 	r.sched.Run()
 	if len(r.out.got) != 5 {
 		t.Fatalf("forwarded %d flits, want 5", len(r.out.got))
@@ -467,8 +472,8 @@ func TestFaninRoundRobin(t *testing.T) {
 		r.drv[0].queue = append(r.drv[0].queue, a.Flits()...)
 		r.drv[1].queue = append(r.drv[1].queue, b.Flits()...)
 	}
-	r.sched.Schedule(0, r.drv[0].pump)
-	r.sched.Schedule(0, r.drv[1].pump)
+	r.sched.At(0, funcHandler(r.drv[0].pump), 0)
+	r.sched.At(0, funcHandler(r.drv[1].pump), 0)
 	r.sched.Run()
 	if len(r.out.got) != 6 {
 		t.Fatalf("forwarded %d flits, want 6", len(r.out.got))
@@ -614,8 +619,8 @@ func TestFaninAsymmetricLoadNoStarvation(t *testing.T) {
 	}
 	lone := &packet.Packet{ID: 1, Length: 1}
 	r.drv[1].queue = lone.Flits()
-	r.sched.Schedule(0, r.drv[0].pump)
-	r.sched.Schedule(0, r.drv[1].pump)
+	r.sched.At(0, funcHandler(r.drv[0].pump), 0)
+	r.sched.At(0, funcHandler(r.drv[1].pump), 0)
 	r.sched.Run()
 	if len(r.out.got) != 11 {
 		t.Fatalf("forwarded %d flits, want 11", len(r.out.got))

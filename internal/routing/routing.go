@@ -85,6 +85,11 @@ func SymbolFor(needTop, needBottom bool) Symbol {
 	return s
 }
 
+// RouteWordBits is the width of the source-route word a header carries.
+// A multicast placement needs two bits per addressable node, so
+// network.Spec.Validate rejects placements wider than this.
+const RouteWordBits = 64
+
 // EncodeMulticast packs the 2-bit field of every addressable node of the
 // fanout tree for the given destination set. Fields of nodes whose subtree
 // holds no destination are SymNone, which is what makes the throttling of
@@ -97,8 +102,8 @@ func EncodeMulticast(p *topology.Placement, dests packet.DestSet) (uint64, error
 	if extra := dests &^ packet.Range(0, m.N); !extra.Empty() {
 		return 0, fmt.Errorf("routing: destinations %v outside [0,%d)", extra, m.N)
 	}
-	if p.AddressBits() > 64 {
-		return 0, fmt.Errorf("routing: %d address bits exceed the 64-bit route word", p.AddressBits())
+	if p.AddressBits() > RouteWordBits {
+		return 0, fmt.Errorf("routing: %d address bits exceed the %d-bit route word", p.AddressBits(), RouteWordBits)
 	}
 	var route uint64
 	for k := 1; k < m.N; k++ {

@@ -108,7 +108,7 @@ func TestKernelMatchesReferenceProperty(t *testing.T) {
 		}
 		checkStep := func() bool {
 			before := len(rec.log)
-			did := s.step()
+			did := s.step(Never)
 			want, ok := ref.popMin()
 			if did != ok {
 				t.Logf("step dispatched=%v, reference had event=%v", did, ok)
@@ -178,7 +178,7 @@ func TestKernelMatchesReferenceProperty(t *testing.T) {
 		// Drain both schedulers completely and compare the tails.
 		for {
 			want, ok := ref.popMin()
-			did := s.step()
+			did := s.step(Never)
 			if did != ok {
 				t.Logf("drain: dispatched=%v, reference=%v", did, ok)
 				return false
@@ -334,5 +334,51 @@ func BenchmarkKernelCancel(b *testing.B) {
 		j := i % window
 		s.Cancel(ids[j])
 		ids[j] = s.At(Time(j+1), &nop, 0)
+	}
+}
+
+// TestCancelChurnBounded cancels almost everything it schedules, into
+// both a delay-class ring and the general heap, for many rounds: stale
+// entries must be compacted away so the queue stays at the size of its
+// live population instead of growing with the number of cancels.
+func TestCancelChurnBounded(t *testing.T) {
+	s := NewScheduler()
+	var nop nopHandler
+	for i := 0; i < promoteAfter; i++ {
+		s.In(5000, &nop, 0)
+	}
+	s.Run()
+	const batch = 50
+	ids := make([]EventID, 0, 2*batch)
+	for round := 0; round < 2000; round++ {
+		ids = ids[:0]
+		for i := 0; i < batch; i++ {
+			ids = append(ids, s.In(5000, &nop, 0))
+			ids = append(ids, s.In(Time(1000+(i*7919+round*104729)%100000), &nop, 0))
+		}
+		// Keep one event of each kind per round; cancel the rest in an
+		// order that leaves stale entries at the fronts and in the middle.
+		for i := len(ids) - 1; i >= 2; i-- {
+			if !s.Cancel(ids[i]) {
+				t.Fatalf("round %d: Cancel of a live event failed", round)
+			}
+		}
+		s.RunUntil(s.Now() + 3)
+		if err := checkQueue(s); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	live := s.Len()
+	if n := len(s.q.heap); n > 2*live+2*batch {
+		t.Errorf("heap holds %d entries for %d live events", n, live)
+	}
+	for c := range s.q.rings {
+		r := &s.q.rings[c]
+		if ringLive := r.n - r.stale; r.n > 2*ringLive+2*batch || len(r.buf) > 4*(ringLive+batch) {
+			t.Errorf("ring %d holds %d entries in %d slots for %d live events", c, r.n, len(r.buf), ringLive)
+		}
+	}
+	if n := len(s.slots); n > live+2*batch {
+		t.Errorf("slab grew to %d slots for %d live events", n, live)
 	}
 }

@@ -9,7 +9,7 @@
 // the window barriers.
 //
 // Window computation is adaptive. At each barrier the coordinator knows
-// every shard's earliest pending event time next[i] (heap head and
+// every shard's earliest pending event time next[i] (queue front and
 // undelivered mailbox arrivals). A naive fence would stop everyone at
 // minNext+lookahead; instead the coordinator computes, per shard, the
 // earliest time any OTHER shard's activity could reach it — including
@@ -111,14 +111,6 @@ type dispatchStamp struct {
 	seq uint64 // composite; creator may still be provisional
 }
 
-// freshRef remembers a slot holding a provisional sequence so a merging
-// barrier can rewrite it once the creator resolves. The generation
-// detects slots already dispatched (and possibly recycled).
-type freshRef struct {
-	idx int32
-	gen uint32
-}
-
 // shardState is the per-scheduler sharding context, present only on
 // schedulers owned by a ShardGroup.
 type shardState struct {
@@ -135,8 +127,6 @@ type shardState struct {
 	resolved  []uint64
 	merged    int
 	dlogStart uint64
-
-	fresh []freshRef
 
 	// curDispatch is the log-local index of the in-flight dispatch (-1
 	// outside a dispatch); childIdx counts events it has created.
@@ -460,7 +450,6 @@ func NewShardGroup(k int, lookahead Time) *ShardGroup {
 			// high-water mark once and are reused from then on.
 			dlog:     make([]dispatchStamp, 0, 256),
 			resolved: make([]uint64, 0, 256),
-			fresh:    make([]freshRef, 0, 64),
 		}
 		g.shards[i] = s
 		g.mail[i] = make([]mailbox, k)
@@ -643,8 +632,12 @@ func (g *ShardGroup) workerLoop(i int, w *shardWorker) {
 			if g.phase.Load() != last && w.parked.CompareAndSwap(true, false) {
 				break
 			}
+			// A token can be early: releaseWorkers claims parked flags
+			// after opening the phase, so a worker that already ran the
+			// new round and parked again may be woken for it. The loop
+			// re-checks the phase and parks again; passing here would run
+			// a round twice and corrupt the completion count.
 			<-w.wake
-			break
 		}
 		last++
 		if g.closing {
@@ -700,8 +693,10 @@ func (g *ShardGroup) awaitWorkers() {
 		if g.pending.Load() == 0 && g.coordParked.CompareAndSwap(true, false) {
 			return
 		}
+		// A token can be late: the last worker of the previous round
+		// may claim the flag only after this round began, so the loop
+		// re-checks the count and parks again until it reaches zero.
 		<-g.coordWake
-		return
 	}
 }
 
@@ -747,17 +742,15 @@ func (g *ShardGroup) RunUntil(deadline Time) {
 		}
 		g.stats.Barriers++
 
-		// safeAt: the earliest pending event anywhere — heap heads and
+		// safeAt: the earliest pending event anywhere — queue fronts and
 		// queued cross-shard arrivals. Every logged dispatch strictly
 		// before it is final and may merge into the global order.
 		safeAt := Never
 		mailPending := false
 		backlog := 0
 		for i, s := range g.shards {
-			if len(s.heap) > 0 {
-				if at := s.slots[s.heap[0]].at; at < safeAt {
-					safeAt = at
-				}
+			if at := s.nextAt(); at < safeAt {
+				safeAt = at
 			}
 			backlog += len(s.shard.dlog) - s.shard.merged
 			for j := range g.mail[i] {
@@ -862,10 +855,7 @@ func (g *ShardGroup) computeHorizons(deadline Time) Time {
 	k := len(g.shards)
 	minNext := Never
 	for i, s := range g.shards {
-		n := Never
-		if len(s.heap) > 0 {
-			n = s.slots[s.heap[0]].at
-		}
+		n := s.nextAt()
 		if h := g.heldMin[i]; h < n {
 			n = h
 		}
@@ -1054,28 +1044,23 @@ func (g *ShardGroup) mergeTo(safeAt Time) {
 // resolveFresh rewrites pending provisional sequences whose creators
 // merged this barrier to their resolved ordinals, keeping the rest for a
 // later barrier. Resolution only decreases keys (provBase exceeds every
-// resolved ordinal), so each rewrite is a single decrease-key siftUp.
+// resolved ordinal), so each rewrite is an in-place decrease-key: the
+// siftUp moves only entries the scan has already passed.
 func (s *Scheduler) resolveFresh() {
 	sh := s.shard
-	keep := sh.fresh[:0]
-	for _, fr := range sh.fresh {
-		sl := &s.slots[fr.idx]
-		if sl.gen != fr.gen || sl.heapIdx < 0 {
-			continue // dispatched or canceled
-		}
-		c := sl.seq >> childBits
+	h := s.q.heap
+	for i := range h {
+		c := h[i].seq >> childBits
 		if c < provBase {
 			continue
 		}
 		local := c - provBase - sh.dlogStart
 		if local >= uint64(sh.merged) {
-			keep = append(keep, fr)
 			continue
 		}
-		sl.seq = sh.resolved[local]<<childBits | sl.seq&childMask
-		s.siftUp(int(sl.heapIdx))
+		h[i].seq = sh.resolved[local]<<childBits | h[i].seq&childMask
+		s.q.siftUp(i)
 	}
-	sh.fresh = keep
 }
 
 // deliverMail moves resolvable cross-shard events into their destination
@@ -1130,19 +1115,10 @@ func (s *Scheduler) insertAt(at Time, seq uint64, h Handler, arg int64) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: cross-shard arrival at %v before now %v", at, s.now))
 	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{gen: 1})
-		idx = int32(len(s.slots) - 1)
-	}
+	idx := s.alloc(h, arg)
 	sl := &s.slots[idx]
-	sl.at, sl.seq, sl.h, sl.arg = at, seq, h, arg
-	sl.heapIdx = int32(len(s.heap))
-	s.heap = append(s.heap, idx)
-	s.siftUp(len(s.heap) - 1)
+	sl.cls = heapClass
+	s.q.pushHeap(entry{key: key{at: at, seq: seq}, slot: idx, gen: sl.gen})
 }
 
 // DispatchIndex returns the absolute per-shard index of the dispatch

@@ -295,5 +295,5 @@ func TestCrossShardLookaheadViolationPanics(t *testing.T) {
 			t.Fatal("cross-shard send below lookahead did not panic")
 		}
 	}()
-	ref.Send(49, &funcEvent{fn: func() {}}, 0)
+	ref.Send(49, funcHandler(func() {}), 0)
 }

@@ -1,24 +1,31 @@
 // Package sim provides a deterministic discrete-event simulation kernel
 // with picosecond time resolution.
 //
-// The kernel is a zero-allocation event scheduler: pending events are
-// value-typed records in a flat slab, ordered by an index-based 4-ary
-// min-heap, with a free-list recycling slab slots. An event is a
+// The kernel is a zero-allocation event scheduler. An event is a
 // (Handler, int64 payload) pair — the component being simulated is its
-// own handler and the payload selects the action — so steady-state
-// scheduling and dispatch perform no heap allocations and create no
-// garbage. Sequence numbers make the execution order of simultaneous
-// events deterministic (FIFO among equal timestamps), which in turn makes
-// every experiment in this repository reproducible bit-for-bit.
+// own handler and the payload selects the action — held in a value-typed
+// slab whose slots a free-list recycles, so steady-state scheduling and
+// dispatch perform no heap allocations and create no garbage. Events
+// dispatch in (at, seq) order, where seq is the schedule-call order:
+// simultaneous events run FIFO, which makes every experiment in this
+// repository reproducible bit-for-bit.
+//
+// The queue exploits how the simulated hardware schedules. Request and
+// acknowledge toggles of the asynchronous handshake components are fixed
+// gate and wire delays, so nearly every event is scheduled a delay ahead
+// that comes from a dozen constants. A delay that keeps recurring is
+// promoted to a delay class with its own FIFO ring; since the clock never
+// runs backwards, each ring is sorted by construction and a push is O(1).
+// Everything else (rare delays, absolute times, every event of a sharded
+// scheduler) goes into a general 4-ary heap. Dispatch takes the earlier
+// of the heap's root and the root of a small heap over the ring heads.
+// Cancel leaves a stale entry that dispatch skips; a ring or the heap is
+// compacted once its stale entries outnumber its live ones. See queue.go.
 //
 // Asynchronous NoC models are built on top of this kernel by scheduling
 // request/acknowledge toggle events between handshake components: each
 // channel and node implements Handler once and schedules itself with
-// At/In, paying only a slab write and a heap sift per toggle.
-//
-// The closure-based Schedule/After entry points remain for cold paths
-// (tests, per-packet timers, replay harnesses); they allocate one adapter
-// per call and dispatch through the same queue.
+// At/In.
 package sim
 
 import (
@@ -107,38 +114,30 @@ type EventID struct {
 	gen  uint32
 }
 
-// Pending reports whether id still refers to a queued event in s.
-func (s *Scheduler) Pending(id EventID) bool {
-	return id.gen != 0 && int(id.slot) < len(s.slots) &&
-		s.slots[id.slot].gen == id.gen && s.slots[id.slot].heapIdx >= 0
-}
-
-// slot is one slab entry: an event record plus its heap backlink.
+// slot is one slab entry: the dispatch target of a pending event. Its
+// position in time lives in the queue entry that points at it.
 type slot struct {
-	at  Time
-	seq uint64
 	h   Handler
 	arg int64
-	// heapIdx is the event's position in the heap array, -1 when the
-	// slot is free.
-	heapIdx int32
 	// gen advances on every release so stale EventIDs cannot cancel a
-	// recycled slot. It is never zero (the zero EventID is invalid).
+	// recycled slot and stale queue entries are recognised at dispatch.
+	// It is never zero (the zero EventID is invalid).
 	gen uint32
+	// cls is the delay class whose ring holds the event, or heapClass.
+	cls int32
 }
 
 // Scheduler is a single-threaded discrete-event scheduler.
 // The zero value is not usable; construct with NewScheduler.
 type Scheduler struct {
 	now Time
-	// slots is the event slab; heap holds slot indices ordered as an
-	// implicit 4-ary min-heap by (at, seq); free lists recycled slots.
-	// All three grow to the high-water mark of concurrently pending
-	// events and are then reused forever: steady-state scheduling
-	// allocates nothing.
+	// slots is the event slab and free lists recycled slots; q orders
+	// the pending events. All of them grow to the high-water mark of
+	// concurrently pending events and are then reused forever:
+	// steady-state scheduling allocates nothing.
 	slots []slot
-	heap  []int32
 	free  []int32
+	q     queue
 
 	nextSeq uint64
 	// executed counts events dispatched since construction.
@@ -159,11 +158,24 @@ func NewScheduler() *Scheduler {
 // Now returns the current simulation time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending events.
-func (s *Scheduler) Len() int { return len(s.heap) }
+// Len returns the number of pending events: the queue's entries less
+// the stale ones canceled events left behind.
+func (s *Scheduler) Len() int {
+	n := len(s.q.heap) - s.q.stale
+	for i := range s.q.rings {
+		n += s.q.rings[i].n
+	}
+	return n
+}
 
 // Executed returns the total number of events dispatched so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
+
+// Pending reports whether id still refers to a queued event in s.
+func (s *Scheduler) Pending(id EventID) bool {
+	return id.gen != 0 && int(id.slot) < len(s.slots) &&
+		s.slots[id.slot].gen == id.gen && s.slots[id.slot].h != nil
+}
 
 // At enqueues h to be dispatched with arg at absolute time at. Scheduling
 // in the past (before Now) panics: in a handshake model a causality
@@ -177,30 +189,50 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{gen: 1})
-		idx = int32(len(s.slots) - 1)
-	}
+	idx := s.alloc(h, arg)
 	sl := &s.slots[idx]
-	sl.at, sl.h, sl.arg = at, h, arg
+	k := key{at: at}
 	if sh := s.shard; sh != nil {
-		// Composite creation-order stamp; provisional stamps are recorded
-		// for rewriting at the window barrier.
-		sl.seq = sh.stampSeq()
-		if sl.seq>>childBits >= provBase {
-			sh.fresh = append(sh.fresh, freshRef{idx: idx, gen: sl.gen})
-		}
-	} else {
-		sl.seq = s.nextSeq
-		s.nextSeq++
+		// Composite creation-order stamp; provisional stamps are rewritten
+		// at a window barrier (resolveFresh).
+		k.seq = sh.stampSeq()
+		sl.cls = heapClass
+		s.q.pushHeap(entry{key: k, slot: idx, gen: sl.gen})
+		return EventID{slot: idx, gen: sl.gen}
 	}
-	sl.heapIdx = int32(len(s.heap))
-	s.heap = append(s.heap, idx)
-	s.siftUp(len(s.heap) - 1)
+	k.seq = s.nextSeq
+	s.nextSeq++
+	// Find d's class and append to its ring. This is the per-toggle
+	// path, so the common cases are written out here: d at its home slot
+	// of the class index, and a ring joining an empty head heap.
+	q := &s.q
+	d := at - s.now
+	c, hit := heapClass, false
+	if t := q.classes; t != nil {
+		x := &t.index[hashDelay(d, indexBits)]
+		c, hit = x.cls1-1, x.d == d && x.cls1 != 0
+	}
+	if !hit {
+		c = q.lookup(d)
+	}
+	sl.cls = c
+	if c == heapClass {
+		q.pushHeap(entry{key: k, slot: idx, gen: sl.gen})
+		return EventID{slot: idx, gen: sl.gen}
+	}
+	r := &q.rings[c]
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	e := &r.buf[(r.first+r.n)&(len(r.buf)-1)]
+	e.key, e.slot, e.gen = k, idx, sl.gen
+	if r.n++; r.n == 1 {
+		if len(q.heads) == 0 {
+			q.heads = append(q.heads, head{key: k, cls: c})
+		} else {
+			q.addHead(c, k)
+		}
+	}
 	return EventID{slot: idx, gen: sl.gen}
 }
 
@@ -214,49 +246,40 @@ func (s *Scheduler) In(delay Time, h Handler, arg int64) EventID {
 	return s.At(AddSat(s.now, delay), h, arg)
 }
 
-// funcEvent adapts a captured closure to Handler — the compatibility path
-// for cold call sites; each Schedule/After allocates one.
-type funcEvent struct{ fn func() }
-
-func (f *funcEvent) OnEvent(int64) { f.fn() }
-
-// Schedule enqueues fn to run at absolute time at. This is the
-// closure-compatibility entry point: it allocates an adapter per call, so
-// per-toggle hot paths use At with a Handler instead.
-func (s *Scheduler) Schedule(at Time, fn func()) EventID {
-	return s.At(at, &funcEvent{fn: fn}, 0)
-}
-
-// After enqueues fn to run delay picoseconds from now (closure
-// compatibility; see Schedule).
-func (s *Scheduler) After(delay Time, fn func()) EventID {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
+// alloc takes a slab slot for a new pending event.
+func (s *Scheduler) alloc(h Handler, arg int64) int32 {
+	var idx int32
+	if n := len(s.free); n > 0 {
+		idx = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		s.slots = append(s.slots, slot{gen: 1})
+		idx = int32(len(s.slots) - 1)
 	}
-	return s.Schedule(AddSat(s.now, delay), fn)
+	sl := &s.slots[idx]
+	sl.h, sl.arg = h, arg
+	return idx
 }
 
 // Cancel removes a pending event. Canceling an already-fired,
-// already-canceled, or zero EventID is a no-op and returns false.
+// already-canceled, or zero EventID is a no-op and returns false. The
+// event's queue entry is left behind stale and skipped (or compacted
+// away) later; Len drops at once.
 func (s *Scheduler) Cancel(id EventID) bool {
-	if id.gen == 0 || int(id.slot) >= len(s.slots) {
+	if !s.Pending(id) {
 		return false
 	}
-	sl := &s.slots[id.slot]
-	if sl.gen != id.gen || sl.heapIdx < 0 {
-		return false
-	}
-	s.removeAt(int(sl.heapIdx))
+	cls := s.slots[id.slot].cls
 	s.release(id.slot)
+	s.noteStale(cls)
 	return true
 }
 
 // release returns a slot to the free list, advancing its generation so
-// outstanding EventIDs for it go stale.
+// outstanding EventIDs and queue entries for it go stale.
 func (s *Scheduler) release(idx int32) {
 	sl := &s.slots[idx]
 	sl.h = nil // drop the handler reference; slots outlive events
-	sl.heapIdx = -1
 	sl.gen++
 	if sl.gen == 0 {
 		sl.gen = 1 // skip the invalid generation on wraparound
@@ -264,83 +287,25 @@ func (s *Scheduler) release(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// less orders slab entries by (at, seq): time first, schedule order among
-// simultaneous events.
-func (s *Scheduler) less(a, b int32) bool {
-	sa, sb := &s.slots[a], &s.slots[b]
-	return sa.at < sb.at || (sa.at == sb.at && sa.seq < sb.seq)
+// isStale reports whether a queue entry no longer stands for a pending
+// event: it was canceled, so the slot generation moved on.
+func (s *Scheduler) isStale(e *entry) bool {
+	return s.slots[e.slot].gen != e.gen
 }
 
-// heapArity is the branching factor. A 4-ary heap halves the tree depth
-// of a binary heap and keeps each node's children in one or two cache
-// lines of the flat index array, which measures faster for the short,
-// churning queues a handshake simulation produces.
-const heapArity = 4
-
-// siftUp restores heap order from position i toward the root.
-func (s *Scheduler) siftUp(i int) {
-	idx := s.heap[i]
-	for i > 0 {
-		p := (i - 1) / heapArity
-		pi := s.heap[p]
-		if !s.less(idx, pi) {
-			break
-		}
-		s.heap[i] = pi
-		s.slots[pi].heapIdx = int32(i)
-		i = p
-	}
-	s.heap[i] = idx
-	s.slots[idx].heapIdx = int32(i)
-}
-
-// siftDown restores heap order from position i toward the leaves and
-// reports whether the entry moved.
-func (s *Scheduler) siftDown(i int) bool {
-	idx := s.heap[i]
-	start := i
-	n := len(s.heap)
+// nextAt returns the time of the earliest pending event, or Never when
+// none is pending.
+func (s *Scheduler) nextAt() Time {
 	for {
-		c := heapArity*i + 1
-		if c >= n {
-			break
+		e := s.q.front()
+		if e == nil {
+			return Never
 		}
-		best := c
-		end := c + heapArity
-		if end > n {
-			end = n
+		if s.q.stale == 0 || !s.isStale(e) {
+			return e.at
 		}
-		for j := c + 1; j < end; j++ {
-			if s.less(s.heap[j], s.heap[best]) {
-				best = j
-			}
-		}
-		if !s.less(s.heap[best], idx) {
-			break
-		}
-		bi := s.heap[best]
-		s.heap[i] = bi
-		s.slots[bi].heapIdx = int32(i)
-		i = best
-	}
-	s.heap[i] = idx
-	s.slots[idx].heapIdx = int32(i)
-	return i != start
-}
-
-// removeAt deletes the heap entry at position i (the caller releases the
-// slot).
-func (s *Scheduler) removeAt(i int) {
-	last := len(s.heap) - 1
-	li := s.heap[last]
-	s.heap = s.heap[:last]
-	if i == last {
-		return
-	}
-	s.heap[i] = li
-	s.slots[li].heapIdx = int32(i)
-	if !s.siftDown(i) {
-		s.siftUp(i)
+		_, cls := s.q.pop(Never)
+		s.q.dropped(cls)
 	}
 }
 
@@ -348,39 +313,40 @@ func (s *Scheduler) removeAt(i int) {
 // in-flight event completes.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// step dispatches the earliest pending event, advancing time.
-// It reports whether an event was dispatched.
-func (s *Scheduler) step() bool {
-	if len(s.heap) == 0 {
-		return false
+// step dispatches the earliest pending event if its time is at most
+// deadline, advancing the clock. It reports whether an event was
+// dispatched.
+func (s *Scheduler) step(deadline Time) bool {
+	q := &s.q
+	for {
+		e, cls := q.pop(deadline)
+		if cls == noEntry {
+			return false
+		}
+		if q.stale > 0 && s.isStale(&e) {
+			q.dropped(cls)
+			continue
+		}
+		s.now = e.at
+		if sh := s.shard; sh != nil {
+			sh.beginDispatch(e.at, e.seq)
+		}
+		idx := e.slot
+		sl := &s.slots[idx]
+		h, arg := sl.h, sl.arg
+		// Release before dispatch: a self-rescheduling handler chain then
+		// recycles one slot forever instead of walking the slab.
+		s.release(idx)
+		s.executed++
+		h.OnEvent(arg)
+		return true
 	}
-	idx := s.heap[0]
-	last := len(s.heap) - 1
-	li := s.heap[last]
-	s.heap = s.heap[:last]
-	if last > 0 {
-		s.heap[0] = li
-		s.slots[li].heapIdx = 0
-		s.siftDown(0)
-	}
-	sl := &s.slots[idx]
-	s.now = sl.at
-	if sh := s.shard; sh != nil {
-		sh.beginDispatch(sl.at, sl.seq)
-	}
-	h, arg := sl.h, sl.arg
-	// Release before dispatch: a self-rescheduling handler chain then
-	// recycles one slot forever instead of walking the slab.
-	s.release(idx)
-	s.executed++
-	h.OnEvent(arg)
-	return true
 }
 
 // Run dispatches events until the queue drains or Stop is called.
 func (s *Scheduler) Run() {
 	s.stopped = false
-	for !s.stopped && s.step() {
+	for !s.stopped && s.step(Never) {
 	}
 }
 
@@ -389,11 +355,7 @@ func (s *Scheduler) Run() {
 // beyond the deadline remain queued.
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.heap) == 0 || s.slots[s.heap[0]].at > deadline {
-			break
-		}
-		s.step()
+	for !s.stopped && s.step(deadline) {
 	}
 	if !s.stopped && s.now < deadline {
 		s.now = deadline

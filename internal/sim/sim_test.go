@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// funcHandler adapts a closure to Handler for the tests below.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(int64) { f() }
+
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		t    Time
@@ -41,9 +46,9 @@ func TestTimeNanoseconds(t *testing.T) {
 func TestScheduleAndRunOrder(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.Schedule(30, func() { order = append(order, 3) })
-	s.Schedule(10, func() { order = append(order, 1) })
-	s.Schedule(20, func() { order = append(order, 2) })
+	s.At(30, funcHandler(func() { order = append(order, 3) }), 0)
+	s.At(10, funcHandler(func() { order = append(order, 1) }), 0)
+	s.At(20, funcHandler(func() { order = append(order, 2) }), 0)
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events ran out of order: %v", order)
@@ -61,7 +66,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.Schedule(42, func() { order = append(order, i) })
+		s.At(42, funcHandler(func() { order = append(order, i) }), 0)
 	}
 	s.Run()
 	for i, v := range order {
@@ -74,9 +79,9 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestAfterUsesCurrentTime(t *testing.T) {
 	s := NewScheduler()
 	var fired Time
-	s.Schedule(100, func() {
-		s.After(50, func() { fired = s.Now() })
-	})
+	s.At(100, funcHandler(func() {
+		s.In(50, funcHandler(func() { fired = s.Now() }), 0)
+	}), 0)
 	s.Run()
 	if fired != 150 {
 		t.Errorf("After fired at %v, want 150", fired)
@@ -85,14 +90,14 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.Schedule(100, func() {
+	s.At(100, funcHandler(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		s.Schedule(50, func() {})
-	})
+		s.At(50, funcHandler(func() {}), 0)
+	}), 0)
 	s.Run()
 }
 
@@ -103,13 +108,13 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	s.After(-1, func() {})
+	s.In(-1, funcHandler(func() {}), 0)
 }
 
 func TestCancel(t *testing.T) {
 	s := NewScheduler()
 	ran := false
-	ev := s.Schedule(10, func() { ran = true })
+	ev := s.At(10, funcHandler(func() { ran = true }), 0)
 	if !s.Cancel(ev) {
 		t.Error("Cancel returned false for pending event")
 	}
@@ -131,7 +136,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	var evs []EventID
 	for i := 0; i < 10; i++ {
 		i := i
-		evs = append(evs, s.Schedule(Time(i*10), func() { order = append(order, i) }))
+		evs = append(evs, s.At(Time(i*10), funcHandler(func() { order = append(order, i) }), 0))
 	}
 	s.Cancel(evs[4])
 	s.Cancel(evs[7])
@@ -151,12 +156,12 @@ func TestStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := 0; i < 10; i++ {
-		s.Schedule(Time(i), func() {
+		s.At(Time(i), funcHandler(func() {
 			count++
 			if count == 5 {
 				s.Stop()
 			}
-		})
+		}), 0)
 	}
 	s.Run()
 	if count != 5 {
@@ -177,7 +182,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		s.Schedule(at, func() { fired = append(fired, at) })
+		s.At(at, funcHandler(func() { fired = append(fired, at) }), 0)
 	}
 	s.RunUntil(25)
 	if len(fired) != 2 {
@@ -198,7 +203,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s := NewScheduler()
 	ran := false
-	s.Schedule(25, func() { ran = true })
+	s.At(25, funcHandler(func() { ran = true }), 0)
 	s.RunUntil(25)
 	if !ran {
 		t.Error("event exactly at deadline did not run")
@@ -212,10 +217,10 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	schedule = func() {
 		depth++
 		if depth < 50 {
-			s.After(1, schedule)
+			s.In(1, funcHandler(schedule), 0)
 		}
 	}
-	s.Schedule(0, schedule)
+	s.At(0, funcHandler(schedule), 0)
 	s.Run()
 	if depth != 50 {
 		t.Errorf("chained scheduling reached depth %d, want 50", depth)
@@ -233,7 +238,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 		var got []Time
 		for _, r := range raw {
 			at := Time(r)
-			s.Schedule(at, func() { got = append(got, at) })
+			s.At(at, funcHandler(func() { got = append(got, at) }), 0)
 		}
 		s.Run()
 		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
@@ -262,7 +267,7 @@ func TestCancelSubsetProperty(t *testing.T) {
 		for i := range recs {
 			at := Time(rnd.Intn(1000))
 			recs[i] = rec{at: at, keep: rnd.Intn(2) == 0}
-			recs[i].ev = s.Schedule(at, func() { got = append(got, at) })
+			recs[i].ev = s.At(at, funcHandler(func() { got = append(got, at) }), 0)
 		}
 		var want []Time
 		for i := range recs {
@@ -289,7 +294,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewScheduler()
 		for j := 0; j < 1000; j++ {
-			s.Schedule(Time(j%97), func() {})
+			s.At(Time(j%97), funcHandler(func() {}), 0)
 		}
 		s.Run()
 	}

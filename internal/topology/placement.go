@@ -80,25 +80,48 @@ func NewPlacement(m *MoT, specLevel []bool) (*Placement, error) {
 
 // ForScheme builds the placement of one of the paper's named architectures.
 func ForScheme(m *MoT, s Scheme) (*Placement, error) {
-	spec := make([]bool, m.Levels)
-	switch s {
-	case NonSpeculative:
-		// all false
-	case Hybrid:
-		for lvl := 0; lvl < m.Levels-1; lvl += 2 {
-			spec[lvl] = true
-		}
-	case AllSpeculative:
-		for lvl := 0; lvl < m.Levels-1; lvl++ {
-			spec[lvl] = true
-		}
-	default:
-		return nil, fmt.Errorf("topology: unknown scheme %v", s)
+	spec, err := SchemeLevels(m.Levels, s)
+	if err != nil {
+		return nil, err
 	}
 	// A 2x2 MoT has a single fanout level which must stay
 	// non-speculative; ForScheme still succeeds and degenerates to the
 	// non-speculative placement.
 	return NewPlacement(m, spec)
+}
+
+// SchemeLevels returns the per-level speculation vector of a named
+// architecture on a MoT with the given number of fanout levels.
+func SchemeLevels(levels int, s Scheme) ([]bool, error) {
+	spec := make([]bool, levels)
+	switch s {
+	case NonSpeculative:
+		// all false
+	case Hybrid:
+		for lvl := 0; lvl < levels-1; lvl += 2 {
+			spec[lvl] = true
+		}
+	case AllSpeculative:
+		for lvl := 0; lvl < levels-1; lvl++ {
+			spec[lvl] = true
+		}
+	default:
+		return nil, fmt.Errorf("topology: unknown scheme %v", s)
+	}
+	return spec, nil
+}
+
+// LevelAddressBits returns the multicast source-route size in bits of a
+// placement with the given speculation vector, without building it: two
+// bits per addressable node, and fanout level l holds 2^l nodes.
+func LevelAddressBits(specLevel []bool) int {
+	bits := 0
+	for lvl, spec := range specLevel {
+		if !spec {
+			bits += 2 << lvl
+		}
+	}
+	return bits
 }
 
 // MustForScheme is ForScheme that panics on error.
