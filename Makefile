@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vuln race soak obs-smoke bench-smoke shard-speedup service-smoke fuzz-smoke test-routing shard-determinism chiplet-smoke chiplet-scale ci experiments clean
+.PHONY: all build test vet lint vuln race soak obs-smoke bench-smoke service-smoke fuzz-smoke test-routing chiplet-smoke chiplet-scale ci experiments clean
 
 all: build
 
@@ -51,19 +51,15 @@ obs-smoke:
 	$(GO) build -o bin/jsontrace ./examples/jsontrace
 	./bin/motsim -sat -workers 1 -trace-out bin/trace_w1.jsonl >/dev/null
 	./bin/motsim -sat -workers 4 -trace-out bin/trace_w4.jsonl >/dev/null
-	./bin/motsim -sat -workers 1 -shards 4 -trace-out bin/trace_s4.jsonl >/dev/null
 	./bin/jsontrace -validate bin/trace_w1.jsonl
 	cmp bin/trace_w1.jsonl bin/trace_w4.jsonl
-	cmp bin/trace_w1.jsonl bin/trace_s4.jsonl
-	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers, and at 4 scheduler shards"
+	@echo "obs-smoke: trace schema valid and byte-identical at 1 and 4 workers"
 
 # bench-smoke guards the simulation hot path: the kernel micro-benchmarks
 # (including the queue at real depths with the hardware delay set), the
 # NI transaction path, and the per-scheme strategy planning paths
 # (all of which must stay zero-alloc) plus the end-to-end Fig6a
-# regeneration — serial and at 8 scheduler shards (the BenchmarkFig6aLatency
-# pattern matches both; the serial entry doubles as the 1-shard
-# no-regression gate) — run once, and benchguard fails the target
+# regeneration run once, and benchguard fails the target
 # on a >10% wall-clock or any allocs/op regression against
 # bench/baseline.json. benchstat, when installed, prints a nicer delta
 # report (advisory, like lint). After a legitimate improvement refresh
@@ -76,20 +72,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNITransaction|BenchmarkStrategy' -benchmem ./internal/network | tee bin/bench_ni.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkFig6aLatency' -benchtime 1x -benchmem . | tee bin/bench_fig6a.txt
 	ASYNCNOC_WORKERS=1 $(GO) test -run '^$$' -bench 'BenchmarkChipletHierarchy' -benchtime 1x -benchmem . | tee bin/bench_chiplet.txt
-	./bin/benchguard -baseline bench/baseline.json -json bench/BENCH_shard.json $(BENCHGUARD_FLAGS) bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt
+	./bin/benchguard -baseline bench/baseline.json -json bench/BENCH_smoke.json $(BENCHGUARD_FLAGS) bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat bin/bench_kernel.txt bin/bench_ni.txt bin/bench_fig6a.txt bin/bench_chiplet.txt; \
 	fi
-
-# shard-speedup is the multi-core gate behind the sharding work: the
-# 8-shard Fig6a regeneration must beat the serial run by >= 2x wall
-# clock with persistent workers actually running in parallel. The script
-# asks benchguard -print-numcpu first and skips with a notice on fewer
-# than 4 cores (where no parallel speedup is measurable; the single-core
-# overhead ratchet in bench-smoke still applies there). Measured numbers
-# land machine-readably in bench/BENCH_shard.json.
-shard-speedup:
-	sh scripts/shard_speedup.sh
 
 # service-smoke exercises simulation-as-a-service end to end: asyncnocd
 # starts on an ephemeral port over a temp cache dir, the same Fig6a-point
@@ -100,19 +86,23 @@ shard-speedup:
 service-smoke:
 	sh scripts/service_smoke.sh
 
-# fuzz-smoke gives the store's entry decoder and the event kernel a
-# short randomized beating on every CI run. Decode must never panic, and
-# any entry it accepts must re-encode byte-identically (acceptance
-# implies integrity). The scheduler must dispatch exactly what the
-# sorted-slice reference model does, with exact live and stale counts,
-# under any mix of delay classes, cancels and deadlines. Longer
-# campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m ./internal/store
-# (or FuzzScheduler in ./internal/sim).
+# fuzz-smoke gives the store's entry decoder, the event kernel and the
+# -topology parser a short randomized beating on every CI run. Decode
+# must never panic, and any entry it accepts must re-encode
+# byte-identically (acceptance implies integrity). The scheduler must
+# dispatch exactly what the sorted-slice reference model does, with
+# exact live and stale counts, under any mix of delay classes, cancels
+# and deadlines. ParseTopology must never panic, and any value it
+# accepts must format back to kind:WxH and parse to the same selection.
+# Longer campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m
+# ./internal/store (or FuzzScheduler in ./internal/sim,
+# FuzzParseTopology in ./internal/cliflags).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s ./internal/cliflags
 
-# test-routing is the scheme-shootout shard: the routing package (the
+# test-routing is the scheme-shootout slice: the routing package (the
 # Strategy interface and all five multicast schemes) runs alone with a
 # coverage gate — the strategy layer must keep >= 90% statement coverage.
 test-routing:
@@ -123,45 +113,32 @@ test-routing:
 	awk -v t="$$total" 'BEGIN { exit (t >= 90.0) ? 0 : 1 }' || \
 		{ echo "test-routing: coverage $$total% below the 90% gate"; exit 1; }
 
-# shard-determinism pins the intra-run sharding contract (DESIGN.md
-# section 14): every architecture x routing strategy produces identical
-# results and byte-identical JSONL traces at 1, 2, 4, and 8 scheduler
-# shards. The same test also runs under the race detector as part of
-# the race target; this fast serial pass keeps the gate explicit and
-# cheap to re-run in isolation.
-shard-determinism:
-	$(GO) test -run TestShardDeterminism -count=1 .
-
 # chiplet-smoke runs the hierarchical composition end to end: the golden
-# 2x2-of-4x4 table and the composed shard-determinism contract (all five
-# routing schemes at 1/2/4 shards), then a motsim run of the same
-# composition traced at 1 and 4 shards with cmp proving the trace — and
-# therefore the whole composed simulation, die-to-die crossings
-# included — is byte-identical at any shard count.
+# 2x2-of-4x4 table and the traced die-to-die runs under all five routing
+# schemes, then a traced motsim run of the same composition whose JSONL
+# trace must pass the schema check.
 chiplet-smoke:
 	@mkdir -p bin
 	$(GO) test -run 'TestChipletGolden2x2of4x4|TestChipletShardDeterminism' -count=1 .
 	$(GO) build -o bin/motsim ./cmd/motsim
+	$(GO) build -o bin/jsontrace ./examples/jsontrace
 	./bin/motsim -topology chiplet:2x2 -n 4 -bench Multicast10 -load 0.3 -seed 2016 \
-		-warmup 100 -measure 300 -drain 600 -shards 1 -trace-out bin/chiplet_s1.jsonl >/dev/null
-	./bin/motsim -topology chiplet:2x2 -n 4 -bench Multicast10 -load 0.3 -seed 2016 \
-		-warmup 100 -measure 300 -drain 600 -shards 4 -trace-out bin/chiplet_s4.jsonl >/dev/null
-	cmp bin/chiplet_s1.jsonl bin/chiplet_s4.jsonl
-	@echo "chiplet-smoke: 2x2-of-4x4 golden table locked; composed trace byte-identical at 1 and 4 shards"
+		-warmup 100 -measure 300 -drain 600 -trace-out bin/chiplet.jsonl >/dev/null
+	./bin/jsontrace -validate bin/chiplet.jsonl
+	@echo "chiplet-smoke: 2x2-of-4x4 golden table locked; composed trace schema valid"
 
 # chiplet-scale is the paper-scale composed deliverable (manual; takes
 # minutes): an 8x8 interposer mesh of 8x8 MoT dies — 4096 terminals —
-# under all five routing strategies, byte-identical at 1/2/4/8 shards,
-# with the per-hierarchy-level table logged.
+# under all five routing strategies, with the per-hierarchy-level table
+# logged.
 chiplet-scale:
 	ASYNCNOC_SCALE=1 $(GO) test -run TestChipletScale8x8of8x8 -count=1 -timeout 60m -v .
 
 # ci is the gate: vet, build, the full suite under the race detector
 # (engine determinism, property, and fault-layer tests included), the
 # fault soak, the observability smoke, the hot-path benchmark guard, the
-# multi-core shard speedup gate (self-skips below 4 cores), the service
-# and store-fuzz smokes, and the optional static analyzers.
-ci: vet build test-routing shard-determinism chiplet-smoke race soak obs-smoke bench-smoke shard-speedup service-smoke fuzz-smoke lint vuln
+# service and fuzz smokes, and the optional static analyzers.
+ci: vet build test-routing chiplet-smoke race soak obs-smoke bench-smoke service-smoke fuzz-smoke lint vuln
 
 # experiments regenerates the paper's tables at CI scale.
 experiments:

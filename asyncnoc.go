@@ -131,14 +131,6 @@ type UtilizationInstrument = network.UtilizationInstrument
 // into Out; after the run its Sink field exposes the event count.
 type TraceInstrument = obs.TraceInstrument
 
-// ShardStatsInstrument captures the shard group's window/barrier
-// counters from one sharded run (motsim -shard-stats); after the run
-// its Stats method returns them.
-type ShardStatsInstrument = core.ShardStatsInstrument
-
-// ShardStats holds a sharded run's window/barrier diagnostics.
-type ShardStats = sim.ShardStats
-
 // RunResult carries one run's measurements.
 type RunResult = core.RunResult
 
@@ -337,15 +329,6 @@ func NewEngine(workers int) *Engine { return core.NewEngine(workers) }
 // to a positive integer, otherwise GOMAXPROCS.
 func DefaultWorkers() int { return core.DefaultWorkers() }
 
-// ShardsEnv is the environment variable consulted by DefaultShards.
-const ShardsEnv = core.ShardsEnv
-
-// DefaultShards resolves the default per-run shard count
-// (RunConfig.Shards): ASYNCNOC_SHARDS if set to a positive integer,
-// otherwise 1 — the engine already parallelizes across runs, so
-// intra-run sharding is opt-in.
-func DefaultShards() int { return core.DefaultShards() }
-
 // JobKey returns the canonical hash of a (spec, config) pair; equal keys
 // identify runs that are deterministic replays of each other.
 func JobKey(spec NetworkSpec, cfg RunConfig) string { return core.JobKey(spec, cfg) }
@@ -401,9 +384,8 @@ func MeshSaturation(spec MeshSpec, cfg SatConfig) (SatResult, error) {
 // TopologySpec is the unified construction contract every network
 // description implements: NetworkSpec (a single MoT die or a chiplet
 // composition of dies) and MeshSpec (the 2D-mesh substrate). It exposes
-// the shared geometry and partitioning surface — terminal count,
-// canonical memo key, shard limits — so harnesses accept any topology
-// through one parameter.
+// the shared surface — terminal count, validation, canonical memo key —
+// so harnesses accept any topology through one parameter.
 type TopologySpec = topology.TopologySpec
 
 // ChipletParams describes the interposer of a mesh-of-MoT-chiplets
@@ -456,13 +438,6 @@ type Schedule = core.Schedule
 // every injected packet.
 func RunSchedule(spec NetworkSpec, sched Schedule, drain Time) (RunResult, error) {
 	return core.RunSchedule(spec, sched, drain)
-}
-
-// RunScheduleShards is RunSchedule with the replay partitioned across
-// the given number of scheduler shards; results are byte-identical at
-// any count (see RunConfig.Shards).
-func RunScheduleShards(spec NetworkSpec, sched Schedule, drain Time, shards int) (RunResult, error) {
-	return core.RunScheduleShards(spec, sched, drain, shards)
 }
 
 // Replicated aggregates one configuration over several seeds.

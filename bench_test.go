@@ -68,26 +68,6 @@ func BenchmarkFig6aLatency(b *testing.B) {
 	b.Log("\n" + out.Format())
 }
 
-// BenchmarkFig6aLatencySharded8 regenerates Fig. 6a with every
-// individual simulation partitioned across 8 scheduler shards
-// (RunConfig.Shards) instead of run serially. The table is
-// byte-identical to the serial benchmark's by the sharding determinism
-// contract; ns/op measures the intra-run parallel speedup (or, on a
-// single-core box, the barrier/merge overhead).
-func BenchmarkFig6aLatencySharded8(b *testing.B) {
-	var out *experiments.Table
-	for i := 0; i < b.N; i++ {
-		s := suiteFor(b)
-		s.Shards = 8
-		t, err := s.Fig6a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = t
-	}
-	b.Log("\n" + out.Format())
-}
-
 // BenchmarkFig6bLatency regenerates the design-space latency figure
 // (Fig. 6b): the three optimized networks with increasing speculation.
 func BenchmarkFig6bLatency(b *testing.B) {

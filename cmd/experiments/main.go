@@ -39,7 +39,6 @@ func main() {
 		quick    = flag.Bool("quick", false, "CI-scale measurement windows")
 		seed     = flag.Uint64("seed", 2016, "random seed")
 		workers  = cliflags.Workers("simulation")
-		shards   = cliflags.Shards()
 		topology = cliflags.TopologyFlag()
 		sats     = flag.Bool("satloads", false, "also print the raw saturation loads")
 		faults   = flag.Bool("faults", false, "also run the fault-injection robustness sweep")
@@ -59,10 +58,6 @@ func main() {
 	s.N = *n
 	s.Seed = *seed
 	s.Workers = *workers
-	s.Shards = *shards
-	if s.Shards == 0 {
-		s.Shards = asyncnoc.DefaultShards()
-	}
 
 	if *cache != "" {
 		st, err := asyncnoc.OpenStore(*cache)

@@ -29,7 +29,6 @@ func main() {
 		maxFrac   = flag.Float64("maxfrac", 0.95, "highest load as a fraction of saturation")
 		seed      = flag.Uint64("seed", 7, "random seed")
 		workers   = cliflags.Workers("simulation")
-		shards    = cliflags.Shards()
 		cache     = flag.String("cache-dir", "", "persistent result store directory (shared warm cache)")
 		server    = flag.String("server", "", "asyncnocd base URL; runs execute remotely with local fallback")
 		httpAddr  = flag.String("http", "", "serve live expvar counters and pprof on this address (e.g. :8090)")
@@ -88,13 +87,10 @@ func main() {
 		fatal(err)
 	}
 	base := asyncnoc.RunConfig{
-		Bench: bench, Seed: *seed, Shards: *shards,
+		Bench: bench, Seed: *seed,
 		Warmup:  200 * asyncnoc.Nanosecond,
 		Measure: 1200 * asyncnoc.Nanosecond,
 		Drain:   600 * asyncnoc.Nanosecond,
-	}
-	if base.Shards == 0 {
-		base.Shards = asyncnoc.DefaultShards()
 	}
 	for _, name := range networkList {
 		spec, err := asyncnoc.NetworkByName(*n, strings.TrimSpace(name))

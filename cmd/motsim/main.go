@@ -54,11 +54,9 @@ func main() {
 		drain       = flag.Int("drain", 800, "drain window (ns)")
 		sat         = flag.Bool("sat", false, "search for saturation throughput instead of a fixed-load run")
 		workers     = cliflags.Workers("saturation-search")
-		shards      = cliflags.Shards()
 		list        = flag.Bool("list", false, "list network and benchmark names")
 		vcdPath     = flag.String("vcd", "", "dump handshake activity to this VCD file")
 		util        = flag.Bool("util", false, "print per-level fanout utilization after the run")
-		shardStats  = flag.Bool("shard-stats", false, "print the sharded-execution window/barrier counters after the run")
 		draw        = flag.Bool("draw", false, "print the fanout-tree placement diagram and exit")
 		hist        = flag.Bool("hist", false, "print a latency histogram after the run")
 		traceOut    = flag.String("trace-out", "", "stream the flit-lifecycle trace to this JSONL file (with -sat, traces the run at the saturation load)")
@@ -115,7 +113,7 @@ func main() {
 	}
 
 	if sel.Kind == "mesh" {
-		if *sat || *util || *hist || *draw || *shardStats || *vcdPath != "" || *traceOut != "" || *dests != "" {
+		if *sat || *util || *hist || *draw || *vcdPath != "" || *traceOut != "" || *dests != "" {
 			fatal(fmt.Errorf("-topology mesh:%dx%d supports only plain fixed-load runs", sel.W, sel.H))
 		}
 		bench, err := sel.Bench(*n, *benchName)
@@ -130,7 +128,6 @@ func main() {
 			Measure:   asyncnoc.Time(*measure) * asyncnoc.Nanosecond,
 			Drain:     asyncnoc.Time(*drain) * asyncnoc.Nanosecond,
 			MaxEvents: *maxEvents,
-			Shards:    *shards,
 		})
 		if err != nil {
 			fatal(err)
@@ -201,10 +198,6 @@ func main() {
 		Measure:   asyncnoc.Time(*measure) * asyncnoc.Nanosecond,
 		Drain:     asyncnoc.Time(*drain) * asyncnoc.Nanosecond,
 		MaxEvents: *maxEvents,
-		Shards:    *shards,
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = asyncnoc.DefaultShards()
 	}
 
 	if *sat {
@@ -232,11 +225,6 @@ func main() {
 		return
 	}
 
-	var ssIns *asyncnoc.ShardStatsInstrument
-	if *shardStats {
-		ssIns = &asyncnoc.ShardStatsInstrument{Timing: true}
-		cfg.Instruments = append(cfg.Instruments, ssIns)
-	}
 	var res asyncnoc.RunResult
 	if *util || *hist || *vcdPath != "" || *traceOut != "" {
 		r, err := runInstrumented(spec, cfg, *traceOut, *util, *hist, *vcdPath)
@@ -258,27 +246,6 @@ func main() {
 		res = r
 	}
 	printResult(res, &spec)
-	if ssIns != nil {
-		printShardStats(ssIns)
-	}
-}
-
-// printShardStats prints the sharded-execution diagnostics captured by
-// the -shard-stats instrument.
-func printShardStats(ins *asyncnoc.ShardStatsInstrument) {
-	s, shards, parallel := ins.Stats()
-	if s.Barriers == 0 {
-		fmt.Printf("shard stats:      serial run (no shard group; use -shards)\n")
-		return
-	}
-	exec := "inline"
-	if parallel {
-		exec = "parallel"
-	}
-	fmt.Printf("shard stats:      shards=%d exec=%s barriers=%d windows=%d extended=%d coalesced=%d\n",
-		shards, exec, s.Barriers, s.Windows, s.ExtendedWindows, s.CoalescedReplays)
-	fmt.Printf("                  merged=%d mailbox=%d held=%d barrier-time=%.3fs\n",
-		s.MergedDispatches, s.MailboxEvents, s.HeldMail, float64(s.BarrierNs)/1e9)
 }
 
 // printResult prints the standard measurement block, the hierarchy

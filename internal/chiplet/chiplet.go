@@ -12,7 +12,7 @@
 // arithmetic, and the hierarchical traffic generators. The network
 // package owns the actual gateway processes (egress serialization,
 // in-flight hop delays, ingress re-injection) so that all event
-// ordering and sharded-replay machinery stays in one place.
+// ordering stays in one place.
 package chiplet
 
 import (

@@ -8,6 +8,7 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"asyncnoc"
@@ -16,12 +17,6 @@ import (
 // N registers the shared -n flag: the MoT die radix.
 func N() *int {
 	return flag.Int("n", 8, "MoT radix (power of two)")
-}
-
-// Shards registers the shared -shards flag.
-func Shards() *int {
-	return flag.Int("shards", 0,
-		"scheduler shards per run; results are identical at any count (0 = $ASYNCNOC_SHARDS or 1)")
 }
 
 // Workers registers the shared -workers flag; purpose names what the
@@ -51,7 +46,8 @@ type Topology struct {
 }
 
 // ParseTopology parses a -topology value. The grammar and the error
-// message are shared by every tool.
+// message are shared by every tool. Both dimensions must be plain
+// positive decimal integers and nothing may follow them.
 func ParseTopology(s string) (Topology, error) {
 	bad := func() (Topology, error) {
 		return Topology{}, fmt.Errorf("bad -topology %q (want mot, mesh:WxH, or chiplet:WxH)", s)
@@ -63,11 +59,23 @@ func ParseTopology(s string) (Topology, error) {
 	if !ok || (kind != "mesh" && kind != "chiplet") {
 		return bad()
 	}
-	var w, h int
-	if n, err := fmt.Sscanf(dims, "%dx%d", &w, &h); n != 2 || err != nil || w < 1 || h < 1 {
+	ws, hs, _ := strings.Cut(dims, "x")
+	w, okW := parseDim(ws)
+	h, okH := parseDim(hs)
+	if !okW || !okH {
 		return bad()
 	}
 	return Topology{Kind: kind, W: w, H: h}, nil
+}
+
+// parseDim parses one mesh dimension: decimal digits only (no sign, no
+// spaces) with a value of at least 1.
+func parseDim(s string) (int, bool) {
+	if s == "" || strings.TrimLeft(s, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 1
 }
 
 // Compose applies a chiplet selection to a single-die spec. For "mot"

@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"asyncnoc/internal/network"
-	"asyncnoc/internal/sim"
 )
 
 // WorkersEnv is the environment variable consulted for the default pool
@@ -47,44 +46,6 @@ func DefaultWorkers() int {
 		}
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// ShardsEnv is the environment variable consulted for the default
-// intra-run shard count when a caller does not set one explicitly
-// (flags win over env). See RunConfig.Shards.
-const ShardsEnv = "ASYNCNOC_SHARDS"
-
-// DefaultShards resolves the default intra-run shard count:
-// ASYNCNOC_SHARDS if set to a positive integer, otherwise 1 (serial).
-// Unlike the worker pool, sharding does not default to the core count:
-// the engine already parallelizes across runs, and splitting one run
-// only pays off once a single simulation dominates the workload.
-func DefaultShards() int {
-	if v := os.Getenv(ShardsEnv); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-// ShardExecEnv selects the shard-group execution backend: "parallel"
-// forces the persistent worker goroutines, "inline" forces coordinator-
-// inline windows, anything else (including unset) keeps the group's
-// GOMAXPROCS-based default. Results are byte-identical either way —
-// the knob exists for benchmarking and for pinning determinism tests to
-// a specific backend.
-const ShardExecEnv = "ASYNCNOC_SHARD_EXEC"
-
-// applyShardExec applies the ShardExecEnv override to a freshly built
-// shard group.
-func applyShardExec(g *sim.ShardGroup) {
-	switch os.Getenv(ShardExecEnv) {
-	case "parallel":
-		g.SetParallel(true)
-	case "inline":
-		g.SetParallel(false)
-	}
 }
 
 // DefaultMemoCapacity bounds the engine's result memo. A RunResult is a

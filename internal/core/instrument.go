@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"asyncnoc/internal/network"
-	"asyncnoc/internal/sim"
 )
 
 // Instrument observes one simulation run. Attach hooks the instrument
@@ -27,52 +26,6 @@ type Instrument interface {
 	Attach(nw *network.Network) error
 	// Finish completes the instrument after the run (flush, close).
 	Finish() error
-}
-
-// ShardStatsInstrument captures the shard group's window/barrier
-// counters from one run (see sim.ShardStats): attach it via
-// RunConfig.Instruments, read Stats after the run completes. On a
-// serial run every counter stays zero and Shards reports 1. The
-// counters are diagnostics only — results stay byte-identical whether
-// or not the instrument rides along (though, like every instrument, it
-// bypasses the engine memo).
-type ShardStatsInstrument struct {
-	// Timing enables barrier wall-time accounting (ShardStats.BarrierNs),
-	// off by default: two clock reads per barrier are measurable at
-	// million-barrier scale.
-	Timing bool
-
-	nw       *network.Network
-	stats    sim.ShardStats
-	shards   int
-	parallel bool
-}
-
-// Attach implements Instrument.
-func (i *ShardStatsInstrument) Attach(nw *network.Network) error {
-	i.nw = nw
-	i.shards = 1
-	if g := nw.Group(); g != nil && i.Timing {
-		g.EnableBarrierTiming(true)
-	}
-	return nil
-}
-
-// Finish implements Instrument: it snapshots the group's counters
-// (Finish runs after the simulation but before the group closes).
-func (i *ShardStatsInstrument) Finish() error {
-	if g := i.nw.Group(); g != nil {
-		i.stats = g.Stats()
-		i.shards = g.Shards()
-		i.parallel = g.Parallel()
-	}
-	return nil
-}
-
-// Stats returns the captured counters, the shard count, and whether the
-// windows executed on worker goroutines (parallel) or inline.
-func (i *ShardStatsInstrument) Stats() (stats sim.ShardStats, shards int, parallel bool) {
-	return i.stats, i.shards, i.parallel
 }
 
 // attachInstruments hooks every instrument onto the network, in order.

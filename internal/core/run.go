@@ -38,14 +38,6 @@ type RunConfig struct {
 	// budget; runs with faults enabled then get a generous automatic
 	// backstop (see Run).
 	MaxEvents uint64
-	// Shards partitions the network into this many regions, each driven
-	// by its own scheduler shard under conservative lookahead (see
-	// network.NewSharded). Results, goldens, and traces are byte-identical
-	// at any shard count, so the engine's memo keys deliberately ignore
-	// it. Values <= 1 select the serial engine; counts above N clamp to
-	// N; fault-enabled specs silently fall back to serial (the fault
-	// stream is global mutable state on the hot path).
-	Shards int
 	// Instruments are attached to the built network before the run and
 	// finished (flushed) after it; see Instrument. Instrumented runs are
 	// executed fresh, never served from the engine's memo.
@@ -105,9 +97,6 @@ func (c RunConfig) Validate() error {
 		if ins == nil {
 			add("Instruments", "instrument %d is nil", i)
 		}
-	}
-	if c.Shards < 0 {
-		add("Shards", "shard count %d must not be negative", c.Shards)
 	}
 	if len(fields) > 0 {
 		return &ConfigError{Fields: fields}
@@ -236,9 +225,6 @@ func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunR
 	if err != nil {
 		return RunResult{}, err
 	}
-	if g := nw.Group(); g != nil {
-		defer g.Close()
-	}
 	if err := attachInstruments(nw, cfg.Instruments); err != nil {
 		return RunResult{}, err
 	}
@@ -293,9 +279,6 @@ type holdStreak struct {
 // run can abort between batches. In both modes quiescence with flits
 // still held in the fabric is diagnosed as a deadlock.
 func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEvents uint64) error {
-	if nw.Group() != nil {
-		return runShardedGuarded(ctx, nw, total, maxEvents)
-	}
 	sched := nw.Sched
 	if ctx.Done() == nil && maxEvents == 0 {
 		sched.RunUntil(total)
@@ -352,82 +335,14 @@ func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEve
 	return nil
 }
 
-// runShardedGuarded is runGuarded for a network driven by a shard group.
-// Fault specs never shard (Build falls back to serial), so there is no
-// wedged-link watchdog here — only the event budget, the context, and
-// the final quiescence/deadlock check.
-func runShardedGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEvents uint64) error {
-	g := nw.Group()
-	if ctx.Done() == nil && maxEvents == 0 {
-		g.RunUntil(total)
-	} else {
-		chunk := total / watchdogChunks
-		if chunk < 1 {
-			chunk = 1
-		}
-		for t := chunk; ; t = sim.AddSat(t, chunk) {
-			if t > total {
-				t = total
-			}
-			g.RunUntil(t)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if maxEvents > 0 && g.Executed() > maxEvents {
-				return &LivelockError{Network: nw.Spec.Name, Events: g.Executed(), At: g.Now()}
-			}
-			if t >= total || g.Len() == 0 {
-				break
-			}
-		}
-		if g.Now() < total {
-			g.RunUntil(total) // advance the clocks past an early quiescence
-		}
-	}
-	if g.Len() == 0 {
-		if stuck := nw.StuckFlits(); len(stuck) > 0 {
-			return &DeadlockError{Network: nw.Spec.Name, At: g.Now(), Stuck: stuck}
-		}
-	}
-	return nil
-}
-
-// resolveShards decides the effective shard count for a run: <= 1 keeps
-// the serial engine, fault-enabled specs silently fall back to it, and
-// counts above spec.MaxShards() clamp to it (one tree per shard on a
-// single die, one die per shard on a chiplet composition — the finest
-// useful partitions).
-func resolveShards(spec network.Spec, cfg RunConfig) int {
-	k := cfg.Shards
-	if k <= 1 || spec.Faults.Enabled() {
-		return 1
-	}
-	if mk := spec.MaxShards(); k > mk {
-		k = mk
-	}
-	return k
-}
-
 // Build constructs the network with injection processes armed and
 // measurement windows set, but does not run it. Callers that need custom
 // instrumentation (tracing, stepping) use Build + Collect directly.
-// With cfg.Shards > 1 the network comes back sharded (see
-// network.NewSharded): drive it with Group().RunUntil and Close the
-// group when done — RunContext does both.
 func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var nw *network.Network
-	var err error
-	if k := resolveShards(spec, cfg); k > 1 {
-		nw, err = network.NewSharded(spec, k)
-		if err == nil {
-			applyShardExec(nw.Group())
-		}
-	} else {
-		nw, err = network.New(spec)
-	}
+	nw, err := network.New(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -457,27 +372,22 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 	root := rng.New(cfg.Seed)
 	for s := 0; s < terms; s++ {
 		inj := &injector{
-			nw: nw, sched: nw.SchedFor(s), bench: cfg.Bench, src: s, r: root.Split(),
+			nw: nw, bench: cfg.Bench, src: s, r: root.Split(),
 			meanGapPs: meanGapPs, injectUntil: injectUntil,
 		}
 		if wide != nil {
-			// Per-injector destination buffer: injectors on different
-			// shards run concurrently, so the scratch space cannot be
-			// shared.
 			inj.wide, inj.byDie = wide, make([]packet.DestSet, spec.Dies())
 		}
-		inj.sched.In(gap(inj.r, meanGapPs), inj, 0)
+		nw.Sched.In(gap(inj.r, meanGapPs), inj, 0)
 	}
 	return nw, nil
 }
 
 // injector drives one source's open-loop Poisson process: each event
 // injects a packet and re-arms itself after an exponential gap, stopping
-// once the drain window closes. It runs on its source's scheduler —
-// the source tree's shard in a sharded run.
+// once the drain window closes.
 type injector struct {
 	nw          *network.Network
-	sched       *sim.Scheduler
 	bench       traffic.Benchmark
 	src         int
 	r           *rng.Source
@@ -493,7 +403,7 @@ type injector struct {
 
 // OnEvent implements sim.Handler.
 func (in *injector) OnEvent(int64) {
-	if in.sched.Now() >= in.injectUntil {
+	if in.nw.Sched.Now() >= in.injectUntil {
 		return
 	}
 	if in.wide != nil {
@@ -506,7 +416,7 @@ func (in *injector) OnEvent(int64) {
 		// protocol-level modeling bug; surface it as one.
 		panic(fault.Violationf(fmt.Sprintf("benchmark %s", in.bench.Name()), "%v", err))
 	}
-	in.sched.In(gap(in.r, in.meanGapPs), in, 0)
+	in.nw.Sched.In(gap(in.r, in.meanGapPs), in, 0)
 }
 
 // gap draws an exponential inter-arrival time of at least 1 ps.

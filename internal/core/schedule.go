@@ -74,15 +74,7 @@ func (rp *replayer) OnEvent(arg int64) {
 // bounds the extra simulated time after the last injection; the run also
 // ends early once the event queue empties. Protocol violations surface
 // as *ProtocolError and a wedged replay as *DeadlockError.
-func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (RunResult, error) {
-	return RunScheduleShards(spec, sched, drain, 1)
-}
-
-// RunScheduleShards is RunSchedule with the replay partitioned across
-// `shards` scheduler shards (see RunConfig.Shards for the semantics;
-// results are byte-identical at any count). Each injection arms on its
-// source tree's shard.
-func RunScheduleShards(spec network.Spec, sched Schedule, drain sim.Time, shards int) (res RunResult, err error) {
+func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResult, err error) {
 	defer RecoverViolations(spec.Name, &err)
 	if spec.Chiplet != nil {
 		// Schedule entries address destinations with one flat mask, which
@@ -95,12 +87,7 @@ func RunScheduleShards(spec network.Spec, sched Schedule, drain sim.Time, shards
 	if drain < 0 {
 		return RunResult{}, fmt.Errorf("core: negative drain %v", drain)
 	}
-	var nw *network.Network
-	if k := resolveShards(spec, RunConfig{Shards: shards}); k > 1 {
-		nw, err = network.NewSharded(spec, k)
-	} else {
-		nw, err = network.New(spec)
-	}
+	nw, err := network.New(spec)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -112,21 +99,12 @@ func RunScheduleShards(spec network.Spec, sched Schedule, drain sim.Time, shards
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
 	rp := &replayer{nw: nw, ordered: ordered}
 	for i := range ordered {
-		nw.SchedFor(ordered[i].Src).At(ordered[i].At, rp, int64(i))
+		nw.Sched.At(ordered[i].At, rp, int64(i))
 	}
-	var clock sim.Time
-	var pending int
-	if g := nw.Group(); g != nil {
-		defer g.Close()
-		g.RunUntil(end)
-		clock, pending = g.Now(), g.Len()
-	} else {
-		nw.Sched.RunUntil(end)
-		clock, pending = nw.Sched.Now(), nw.Sched.Len()
-	}
-	if pending == 0 {
+	nw.Sched.RunUntil(end)
+	if nw.Sched.Len() == 0 {
 		if stuck := nw.StuckFlits(); len(stuck) > 0 {
-			return RunResult{}, &DeadlockError{Network: spec.Name, At: clock, Stuck: stuck}
+			return RunResult{}, &DeadlockError{Network: spec.Name, At: nw.Sched.Now(), Stuck: stuck}
 		}
 	}
 	res = RunResult{

@@ -28,7 +28,7 @@ func (s *Suite) ChipletTable(p *chiplet.Params) (*Table, error) {
 	results, err := s.runMatrix(specs, []traffic.Benchmark{bench},
 		func(network.Spec, traffic.Benchmark) (core.RunConfig, error) {
 			return core.RunConfig{
-				Bench: bench, LoadGFs: load, Seed: s.Seed, Shards: s.Shards,
+				Bench: bench, LoadGFs: load, Seed: s.Seed,
 				Warmup: s.LatWarmup, Measure: s.LatMeasure, Drain: s.LatDrain,
 			}, nil
 		})

@@ -223,10 +223,9 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// cfg.Shards is an execution hint that must never change results: the
-// mesh has no sharded execution path yet, so any count falls back to
-// serial and matches the unsharded run exactly.
-func TestShardsFallBackToSerial(t *testing.T) {
+// Run reports the full latency summary, like the MoT harness: a mesh
+// row must not print zero percentiles next to a non-zero P95.
+func TestRunLatencyPercentiles(t *testing.T) {
 	cfg := core.RunConfig{
 		Bench:   traffic.UniformRandom{N: 16},
 		LoadGFs: 0.3,
@@ -235,20 +234,16 @@ func TestShardsFallBackToSerial(t *testing.T) {
 		Measure: 400 * sim.Nanosecond,
 		Drain:   300 * sim.Nanosecond,
 	}
-	want, err := Run(treeSpec(4, 4), cfg)
+	res, err := Run(treeSpec(4, 4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{1, 4} {
-		sharded := cfg
-		sharded.Shards = k
-		got, err := Run(treeSpec(4, 4), sharded)
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", k, err)
-		}
-		if got != want {
-			t.Errorf("Shards=%d diverged from serial:\n%+v\n%+v", k, got, want)
-		}
+	if !(0 < res.P50LatencyNs && res.P50LatencyNs <= res.P95LatencyNs && res.P95LatencyNs <= res.P99LatencyNs) {
+		t.Errorf("latency percentiles out of order: p50 %v, p95 %v, p99 %v",
+			res.P50LatencyNs, res.P95LatencyNs, res.P99LatencyNs)
+	}
+	if res.AvgLatencyNs <= 0 || res.LostMeasuredPackets != 0 {
+		t.Errorf("avg %v ns, %d measured packets lost", res.AvgLatencyNs, res.LostMeasuredPackets)
 	}
 }
 

@@ -25,16 +25,6 @@ func Run(spec Spec, cfg core.RunConfig) (res core.RunResult, err error) {
 		// has no equivalent observer surface yet.
 		return core.RunResult{}, fmt.Errorf("mesh %s: RunConfig.Instruments is not supported on the mesh topology", spec.Name)
 	}
-	// cfg.Shards > 1 falls back to serial execution here, silently, the
-	// same way fault-enabled MoT runs do (see core's resolveShards):
-	// Shards is an execution-strategy hint that never changes results,
-	// and the mesh router model records latency and energy directly
-	// against shared state — it has no deferred-effect replay layer yet,
-	// which is what makes the MoT's region partitioning deterministic.
-	// Row-partitioning the mesh over sim.ShardGroup is the natural
-	// extension once the mesh grows that layer: the node.Channel links
-	// it shares with the MoT already expose the cross-shard Fwd/Back
-	// endpoints a region boundary needs.
 	m, err := New(spec)
 	if err != nil {
 		return core.RunResult{}, err
@@ -63,8 +53,13 @@ func Run(spec Spec, cfg core.RunConfig) (res core.RunResult, err error) {
 		Completion:      m.Rec.CompletionRate(),
 		MeasuredPackets: m.Rec.MeasuredCreated(),
 	}
-	res.AvgLatencyNs, _ = m.Rec.AvgLatencyNs()
-	res.P95LatencyNs, _ = m.Rec.P95LatencyNs()
+	if sum := m.Rec.LatencySummary(); sum.Count() > 0 {
+		res.AvgLatencyNs = sum.Mean()
+		res.P50LatencyNs = sum.P50()
+		res.P95LatencyNs = sum.P95()
+		res.P99LatencyNs = sum.P99()
+	}
+	res.LostMeasuredPackets = m.Rec.MeasuredLost()
 	return res, nil
 }
 

@@ -90,31 +90,6 @@ func (s Spec) Terminals() int { return s.Dies() * s.N }
 // TopologyName implements topology.TopologySpec.
 func (s Spec) TopologyName() string { return s.Name }
 
-// MaxShards implements topology.TopologySpec: single-die networks shard
-// down to one tree pair per region, chiplet compositions to one die per
-// region (the natural Chandy-Misra partition — intra-die edges never
-// cross regions), and fault-layer networks run serial only.
-func (s Spec) MaxShards() int {
-	if s.Faults.Enabled() {
-		return 1
-	}
-	if s.Chiplet != nil {
-		return s.Chiplet.Dies()
-	}
-	return s.N
-}
-
-// ShardLookaheadPs implements topology.TopologySpec: the minimum delay
-// of any cross-region event. Die-partitioned chiplet runs only cross
-// regions on D2D flights (>= one hop), single-die runs on leaf-crossing
-// channels.
-func (s Spec) ShardLookaheadPs() int64 {
-	if s.Chiplet != nil {
-		return int64(s.Chiplet.HopPs)
-	}
-	return int64(ShardLookahead(s.Protocol))
-}
-
 // CanonicalKey implements topology.TopologySpec: a stable serialization
 // of every behavior-affecting field. The single-die form is
 // byte-identical to the historical engine memo key, so persistent
@@ -287,20 +262,19 @@ type Network struct {
 	// channel, or node references it. The fault layer breaks copy
 	// conservation (drops, wedged links, retry write-offs with
 	// stragglers in flight), so fault runs simply keep allocating.
-	// The freelists themselves live on the accounting contexts.
 	pooling bool
+	// pktFree is the packet freelist.
+	pktFree []*packet.Packet
 
-	// acct is the serial accounting context: every side effect applies
-	// directly through it. Sharded networks instead carry one context
-	// per shard in rts, deferring effects for barrier replay (shard.go).
-	acct    actx
-	group   *sim.ShardGroup
-	shardOf []int // tree -> shard; nil on serial networks
-	rts     []*shardRT
-	// replayAt backs the sharded meter's Now() during barrier replay: it
-	// tracks the timestamp of the meter effect being applied.
-	replayAt sim.Time
+	// planBuf/emitPlan are the reusable plan-collection plumbing of
+	// injectLeg.
+	planBuf  []routing.Plan
+	emitPlan func(routing.Plan)
 }
+
+// Group always returns nil. Callers that must run a network on its one
+// Scheduler still check it; every network is serial.
+func (nw *Network) Group() any { return nil }
 
 // FaultStats exposes the run's fault and recovery counters, or nil when
 // the fault layer is disabled.
@@ -311,9 +285,9 @@ func (nw *Network) FaultStats() *fault.Stats {
 	return &nw.inj.Stats
 }
 
-// newBase constructs the scheduler-independent skeleton shared by New
-// and NewSharded: topology, placement, recorder, and routing strategy.
-func newBase(spec Spec) (*Network, error) {
+// New builds a network instance with its own scheduler, recorder, and
+// energy meter.
+func New(spec Spec) (*Network, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -351,31 +325,10 @@ func newBase(spec Spec) (*Network, error) {
 		// Validate() vetted the name.
 		nw.strat, _ = routing.StrategyByName(spec.Strategy)
 	}
-	return nw, nil
-}
-
-// applySyncBackground charges the synchronous comparison point's clock
-// tree as a load-independent background power.
-func (nw *Network) applySyncBackground() {
-	if nw.Spec.SyncPeriod <= 0 {
-		return
-	}
-	nodes := float64(nw.Spec.Dies()) * float64(nw.MoT.TotalFanoutNodes()+nw.MoT.TotalFaninNodes())
-	// fJ per ps is mW: clock energy per node per cycle over the period.
-	nw.Meter.BackgroundMW = nodes * power.ClockTreeFJPerNodeCycle / float64(nw.Spec.SyncPeriod)
-}
-
-// New builds a network instance with its own scheduler, recorder, and
-// energy meter.
-func New(spec Spec) (*Network, error) {
-	nw, err := newBase(spec)
-	if err != nil {
-		return nil, err
-	}
+	nw.emitPlan = func(p routing.Plan) { nw.planBuf = append(nw.planBuf, p) }
 	sched := sim.NewScheduler()
 	nw.Sched = sched
 	nw.Meter = power.NewMeter(sched.Now)
-	nw.acct.init(nw, sched, nil)
 	nw.pooling = !spec.Faults.Enabled()
 	if spec.Faults.Enabled() {
 		// The injector must exist before build(): every channel draws its
@@ -390,40 +343,45 @@ func New(spec Spec) (*Network, error) {
 	for _, st := range spec.Faults.Stuck {
 		nw.fanouts[st.Tree][st.Heap].OutputChannel(topology.Port(st.Port)).Faults.SetStuck(st.After)
 	}
-	nw.applySyncBackground()
+	if spec.SyncPeriod > 0 {
+		// The synchronous comparison point's clock tree is a
+		// load-independent background power: fJ per ps is mW, clock
+		// energy per node per cycle over the period.
+		nodes := float64(spec.Dies()) * float64(m.TotalFanoutNodes()+m.TotalFaninNodes())
+		nw.Meter.BackgroundMW = nodes * power.ClockTreeFJPerNodeCycle / float64(spec.SyncPeriod)
+	}
 	return nw, nil
 }
 
-// ownerOf resolves the terminal whose accounting context allocated p:
-// the explicit Owner when set (chiplet ingress legs are allocated at
-// the target die, not at p.Src's), the injecting source otherwise.
-func ownerOf(p *packet.Packet) int {
-	if p.Owner > 0 {
-		return int(p.Owner) - 1
+// allocPacket takes a packet from the freelist (or the heap when the
+// list is dry) with every field zeroed.
+func (nw *Network) allocPacket() *packet.Packet {
+	if n := len(nw.pktFree); n > 0 {
+		p := nw.pktFree[n-1]
+		nw.pktFree = nw.pktFree[:n-1]
+		*p = packet.Packet{}
+		return p
 	}
-	return p.Src
+	return &packet.Packet{}
 }
 
 // releaseCopy retires one live flit copy of p (a delivery or a throttle
 // absorption). When the last copy dies the packet returns to the
-// freelist of its owning context — the context that allocates it — and
-// a serial clone's death also retires one clone reference of its
-// logical parent. Callers invoke it after all other uses of the flit in
-// the same event (recorder, meter, trace), so no recycled packet is ever
-// read through a stale flit.
+// freelist, and a serial clone's death also retires one clone reference
+// of its logical parent. Callers invoke it after all other uses of the
+// flit in the same event (recorder, meter, trace), so no recycled packet
+// is ever read through a stale flit.
 func (nw *Network) releaseCopy(p *packet.Packet) {
 	p.Refs--
 	if p.Refs != 0 {
 		return
 	}
 	parent := p.Parent
-	fc := nw.actxFor(ownerOf(p))
-	fc.pktFree = append(fc.pktFree, p)
+	nw.pktFree = append(nw.pktFree, p)
 	if parent != nil {
 		parent.Refs--
 		if parent.Refs == 0 {
-			fc = nw.actxFor(ownerOf(parent))
-			fc.pktFree = append(fc.pktFree, parent)
+			nw.pktFree = append(nw.pktFree, parent)
 		}
 	}
 }
@@ -446,12 +404,9 @@ func (nw *Network) kindFor(k int) node.Kind {
 }
 
 // channel wires a link with the standard wire delays and energy hook.
-// The sending side's accounting context owns the channel: Send runs on
-// its shard, so both the deliver event and the traversal energy charge
-// originate there.
-func (nw *Network) channel(a *actx, dst node.Sink, dstPort int, src node.AckTarget, srcPort int) *node.Channel {
+func (nw *Network) channel(dst node.Sink, dstPort int, src node.AckTarget, srcPort int) *node.Channel {
 	ch := &node.Channel{
-		Sched:    a.sched,
+		Sched:    nw.Sched,
 		FwdDelay: timing.ChannelFwd,
 		AckDelay: timing.ChannelAckFor(nw.Spec.Protocol),
 		Dst:      dst,
@@ -459,7 +414,7 @@ func (nw *Network) channel(a *actx, dst node.Sink, dstPort int, src node.AckTarg
 		Src:      src,
 		SrcPort:  srcPort,
 	}
-	ch.OnTraverse = func(packet.Flit) { a.meterChannel() }
+	ch.OnTraverse = func(packet.Flit) { nw.Meter.Channel() }
 	if nw.inj != nil {
 		ch.Faults = nw.inj.Channel()
 		nw.chans = append(nw.chans, ch)
@@ -515,11 +470,10 @@ func (nw *Network) build() {
 		fifoCap = 1
 	}
 	for t := 0; t < terms; t++ {
-		a := nw.actxFor(t)
 		nw.fanouts[t] = make([]*node.Fanout, n)
 		nw.fanins[t] = make([]*node.Fanin, n)
 		for k := 1; k < n; k++ {
-			fo := node.NewFanout(a.sched, nw.kindFor(k), t, k, nw.Placement, fifoCap, nw.Spec.Protocol)
+			fo := node.NewFanout(nw.Sched, nw.kindFor(k), t, k, nw.Placement, fifoCap, nw.Spec.Protocol)
 			fo.SetDecoder(nw.decodeSym)
 			if nw.Spec.SyncPeriod > 0 {
 				fo.Clock(nw.Spec.SyncPeriod)
@@ -527,39 +481,36 @@ func (nw *Network) build() {
 			tree, heap, area := t, k, fo.Timing().AreaUm2
 			level := nw.MoT.LevelOf(k)
 			fo.OnForward = func(f packet.Flit, ports int) {
-				now := a.sched.Now()
-				a.meterForward(area, ports)
-				a.recForwarded(level, now)
+				now := nw.Sched.Now()
+				nw.Meter.NodeForward(area, ports)
+				nw.Rec.FanoutForwarded(level, now)
 				if nw.Trace != nil {
-					a.trace(TraceEvent{Kind: TraceForward, At: now, Flit: f, Tree: tree, Heap: heap, Ports: ports})
+					nw.Trace(TraceEvent{Kind: TraceForward, At: now, Flit: f, Tree: tree, Heap: heap, Ports: ports})
 				}
 				if nw.pooling {
 					// A replication turns one live copy into `ports`.
-					// Applied eagerly even when sharded: every increment
-					// of a packet's refcount happens on its source tree's
-					// shard (see shard.go).
 					f.Pkt.Refs += int32(ports - 1)
 				}
 			}
 			fo.OnAbsorb = func(f packet.Flit) {
-				now := a.sched.Now()
-				a.meterAbsorb(area)
-				a.recThrottled(level, now)
+				now := nw.Sched.Now()
+				nw.Meter.NodeAbsorb(area)
+				nw.Rec.FanoutThrottled(level, now)
 				if nw.Trace != nil {
-					a.trace(TraceEvent{Kind: TraceThrottle, At: now, Flit: f, Tree: tree, Heap: heap})
+					nw.Trace(TraceEvent{Kind: TraceThrottle, At: now, Flit: f, Tree: tree, Heap: heap})
 				}
 				if nw.pooling {
-					a.release(f.Pkt)
+					nw.releaseCopy(f.Pkt)
 				}
 			}
 			nw.fanouts[t][k] = fo
 
-			fi := node.NewFanin(a.sched, t, k, nw.Spec.Protocol)
+			fi := node.NewFanin(nw.Sched, t, k, nw.Spec.Protocol)
 			if nw.Spec.SyncPeriod > 0 {
 				fi.Clock(nw.Spec.SyncPeriod)
 			}
 			fiArea := fi.Timing().AreaUm2
-			fi.OnForward = func(packet.Flit) { a.meterForward(fiArea, 1) }
+			fi.OnForward = func(packet.Flit) { nw.Meter.NodeForward(fiArea, 1) }
 			nw.fanins[t][k] = fi
 		}
 		nw.sources[t] = newSourceNI(nw, t)
@@ -567,10 +518,9 @@ func (nw *Network) build() {
 	}
 	// Wire the channels.
 	for t := 0; t < terms; t++ {
-		a := nw.actxFor(t)
 		die, lt := t/n, t%n
 		// Source NI -> fanout root.
-		root := nw.channel(a, nw.fanouts[t][1], 0, nw.sources[t], 0)
+		root := nw.channel(nw.fanouts[t][1], 0, nw.sources[t], 0)
 		nw.sources[t].out = root
 		nw.fanouts[t][1].ConnectInput(root)
 		for k := 1; k < n; k++ {
@@ -578,30 +528,18 @@ func (nw *Network) build() {
 				c := nw.MoT.Child(k, p)
 				if c < n {
 					// Internal fanout link.
-					ch := nw.channel(a, nw.fanouts[t][c], 0, nw.fanouts[t][k], int(p))
+					ch := nw.channel(nw.fanouts[t][c], 0, nw.fanouts[t][k], int(p))
 					nw.fanouts[t][k].ConnectOutput(p, ch)
 					nw.fanouts[t][c].ConnectInput(ch)
 				} else {
 					// Leaf crossing: fanout tree t, leaf for local dest
 					// d, enters the same die's fanin tree d at the leaf
-					// slot for local source t%n. This is the only edge
-					// that can cross regions in a single-die sharded
-					// build; its deliver/credit events then route
-					// through the group's mailboxes. (Die-partitioned
-					// chiplet builds never cross here — both trees are
-					// on the die's shard — so the remote-endpoint check
-					// is a no-op for them.)
+					// slot for local source t%n.
 					d := c - n
 					gd := die*n + d
 					fiHeap := (n + lt) / 2
 					fiPort := (n + lt) % 2
-					ch := nw.channel(a, nw.fanins[gd][fiHeap], fiPort, nw.fanouts[t][k], int(p))
-					if nw.shardOf != nil {
-						if st, sd := nw.shardOf[t], nw.shardOf[gd]; st != sd {
-							ch.Fwd = nw.group.Cross(st, sd)
-							ch.Back = nw.group.Cross(sd, st)
-						}
-					}
+					ch := nw.channel(nw.fanins[gd][fiHeap], fiPort, nw.fanouts[t][k], int(p))
 					nw.fanouts[t][k].ConnectOutput(p, ch)
 					nw.fanins[gd][fiHeap].ConnectInput(fiPort, ch)
 				}
@@ -610,11 +548,11 @@ func (nw *Network) build() {
 		// Fanin internal links (leaves toward root) and root -> sink.
 		for k := n - 1; k >= 2; k-- {
 			parent, via := nw.MoT.Parent(k)
-			ch := nw.channel(a, nw.fanins[t][parent], int(via), nw.fanins[t][k], 0)
+			ch := nw.channel(nw.fanins[t][parent], int(via), nw.fanins[t][k], 0)
 			nw.fanins[t][k].ConnectOutput(ch)
 			nw.fanins[t][parent].ConnectInput(int(via), ch)
 		}
-		sinkCh := nw.channel(a, nw.sinks[t], 0, nw.fanins[t][1], 0)
+		sinkCh := nw.channel(nw.sinks[t], 0, nw.fanins[t][1], 0)
 		nw.fanins[t][1].ConnectOutput(sinkCh)
 		nw.sinks[t].in = sinkCh
 	}
@@ -646,7 +584,7 @@ func (nw *Network) Inject(src int, dests packet.DestSet) (*packet.Packet, error)
 	if dests.Empty() {
 		return nil, fmt.Errorf("network %s: empty destination set", nw.Spec.Name)
 	}
-	return nw.injectLeg(src, src, dests, nw.actxFor(src).sched.Now(), 0)
+	return nw.injectLeg(src, src, dests, nw.Sched.Now(), 0)
 }
 
 // InjectWide injects a hierarchically addressed packet on a chiplet
@@ -668,7 +606,7 @@ func (nw *Network) InjectWide(src int, byDie []packet.DestSet) error {
 		return fmt.Errorf("network %s: destination masks for %d die(s), composition has %d", nw.Spec.Name, len(byDie), nw.Spec.Dies())
 	}
 	srcDie := src / nw.Spec.N
-	now := nw.actxFor(src).sched.Now()
+	now := nw.Sched.Now()
 	any := false
 	for die, dests := range byDie {
 		if dests.Empty() {
@@ -697,25 +635,24 @@ func (nw *Network) InjectWide(src int, byDie []packet.DestSet) error {
 // The single-die Inject path is injectLeg(src, src, dests, now, 0) —
 // byte-identical to the historical inline body.
 func (nw *Network) injectLeg(anchor, origin int, dests packet.DestSet, created sim.Time, hops int) (*packet.Packet, error) {
-	a := nw.actxFor(anchor)
-	now := a.sched.Now()
-	p := a.allocPacket()
-	a.assignID(p)
+	now := nw.Sched.Now()
+	p := nw.allocPacket()
+	nw.nextID++
+	p.ID = nw.nextID
 	p.Src = origin
-	p.Owner = int32(anchor) + 1
 	p.D2DHops = uint8(hops)
 	p.Dests = dests
 	p.Length = nw.Spec.PacketLen
 	p.CreatedAt = int64(created)
-	a.recCreated(p, created)
+	nw.Rec.PacketCreated(p, created)
 	if nw.Trace != nil {
-		a.trace(TraceEvent{Kind: TraceInject, At: now, Flit: packet.Flit{Pkt: p}})
+		nw.Trace(TraceEvent{Kind: TraceInject, At: now, Flit: packet.Flit{Pkt: p}})
 	}
-	a.planBuf = a.planBuf[:0]
-	if err := nw.strat.Plan(nw.fabric, anchor%nw.Spec.N, dests, a.emitPlan); err != nil {
+	nw.planBuf = nw.planBuf[:0]
+	if err := nw.strat.Plan(nw.fabric, anchor%nw.Spec.N, dests, nw.emitPlan); err != nil {
 		return nil, err
 	}
-	plans := a.planBuf
+	plans := nw.planBuf
 	if !nw.Spec.Serial && len(plans) == 1 && plans[0].Dests == dests {
 		p.Route = plans[0].Route
 		nw.sources[anchor].enqueue(p)
@@ -727,10 +664,10 @@ func (nw *Network) injectLeg(anchor, origin int, dests packet.DestSet, created s
 		p.Refs = int32(len(plans))
 	}
 	for i := range plans {
-		clone := a.allocPacket()
-		a.assignID(clone)
+		clone := nw.allocPacket()
+		nw.nextID++
+		clone.ID = nw.nextID
 		clone.Src = origin
-		clone.Owner = p.Owner
 		clone.D2DHops = p.D2DHops
 		clone.Dests = plans[i].Dests
 		clone.Length = nw.Spec.PacketLen
@@ -744,8 +681,7 @@ func (nw *Network) injectLeg(anchor, origin int, dests packet.DestSet, created s
 
 // d2dLeg is one cross-die delivery awaiting (or crossing) the
 // interposer: plain values only — the leg's Packet is allocated at
-// ingress by the target die's accounting context, so every pooling
-// operation stays on the packet's owning shard.
+// ingress on the target die.
 type d2dLeg struct {
 	dstDie  int
 	src     int // original global source terminal
@@ -756,19 +692,16 @@ type d2dLeg struct {
 // d2dEgress is one die's die-to-die gateway: an output queue serialized
 // one packet at a time onto the interposer link (PacketLen flits at
 // FlitSerPs each), charging the D2D link energy and launching one
-// in-flight carrier per departure. It lives on its die's shard; the
-// hop-delayed arrival is the only event that crosses shard regions in a
-// die-partitioned build.
+// in-flight carrier per departure.
 type d2dEgress struct {
 	nw    *Network
-	a     *actx
 	die   int
 	queue pool.Ring[d2dLeg]
 	busy  bool
 }
 
 func newD2DEgress(nw *Network, die int) *d2dEgress {
-	return &d2dEgress{nw: nw, a: nw.actxFor(die * nw.Spec.N), die: die}
+	return &d2dEgress{nw: nw, die: die}
 }
 
 func (eg *d2dEgress) push(l d2dLeg) {
@@ -783,7 +716,7 @@ func (eg *d2dEgress) pump() {
 	}
 	eg.busy = true
 	ser := sim.Time(eg.nw.Spec.PacketLen) * eg.nw.Spec.Chiplet.FlitSerPs()
-	eg.a.sched.In(ser, eg, 0)
+	eg.nw.Sched.In(ser, eg, 0)
 }
 
 // OnEvent implements sim.Handler: serialization of the head leg is
@@ -794,21 +727,10 @@ func (eg *d2dEgress) OnEvent(int64) {
 	cp := eg.nw.Spec.Chiplet
 	hops := cp.Hops(eg.die, l.dstDie)
 	flitHops := eg.nw.Spec.PacketLen * hops
-	eg.a.meterD2D(flitHops, float64(flitHops)*cp.FlitHopPJ())
-	// One fresh carrier per crossing: it becomes garbage after arrival,
-	// so concurrent crossings share no mutable state across shards.
+	eg.nw.Meter.D2D(flitHops, float64(flitHops)*cp.FlitHopPJ())
+	// One fresh carrier per crossing: it becomes garbage after arrival.
 	fl := &d2dFlight{nw: eg.nw, leg: l, hops: hops}
-	delay := sim.Time(hops) * cp.HopPs
-	if nw := eg.nw; nw.shardOf != nil {
-		st, sd := nw.shardOf[eg.die*nw.Spec.N], nw.shardOf[l.dstDie*nw.Spec.N]
-		if st != sd {
-			nw.group.Cross(st, sd).Send(delay, fl, 0)
-		} else {
-			eg.a.sched.In(delay, fl, 0)
-		}
-	} else {
-		eg.a.sched.In(delay, fl, 0)
-	}
+	eg.nw.Sched.In(sim.Time(hops)*cp.HopPs, fl, 0)
 	eg.busy = false
 	eg.pump()
 }
@@ -824,7 +746,7 @@ type d2dFlight struct {
 	hops int
 }
 
-// OnEvent implements sim.Handler (runs on the target die's shard).
+// OnEvent implements sim.Handler.
 func (fl *d2dFlight) OnEvent(int64) {
 	nw := fl.nw
 	anchor := fl.leg.dstDie*nw.Spec.N + fl.leg.src%nw.Spec.N
@@ -939,7 +861,6 @@ const (
 // in Packet.TxSlot, so a steady-state transaction allocates nothing.
 type SourceNI struct {
 	nw    *Network
-	a     *actx
 	src   int
 	out   *node.Channel
 	queue pool.Ring[packet.Flit]
@@ -964,7 +885,7 @@ type txState struct {
 }
 
 func newSourceNI(nw *Network, src int) *SourceNI {
-	return &SourceNI{nw: nw, a: nw.actxFor(src), src: src, txOn: nw.inj != nil}
+	return &SourceNI{nw: nw, src: src, txOn: nw.inj != nil}
 }
 
 func (ni *SourceNI) enqueue(p *packet.Packet) {
@@ -995,7 +916,7 @@ func (ni *SourceNI) pushFlits(p *packet.Packet, attempt int) {
 // arm schedules the retransmission timer for the packet's next attempt.
 func (ni *SourceNI) arm(slot int32, st *txState) {
 	cfg := ni.nw.inj.Config()
-	st.timer = ni.a.sched.In(sim.Time(cfg.BackoffPs(st.attempts+1)), ni,
+	st.timer = ni.nw.Sched.In(sim.Time(cfg.BackoffPs(st.attempts+1)), ni,
 		int64(slot)<<8|evNITimeout)
 }
 
@@ -1012,9 +933,9 @@ func (ni *SourceNI) timeout(slot int32) {
 		ni.txSlab.Free(pkt.TxSlot)
 		// Release the recorder's per-packet tracking state: the packet
 		// can never complete, and soak runs must not accumulate it.
-		ni.nw.Rec.PacketLost(pkt, ni.a.sched.Now())
+		ni.nw.Rec.PacketLost(pkt, ni.nw.Sched.Now())
 		if ni.nw.Trace != nil {
-			ni.nw.Trace(TraceEvent{Kind: TraceDrop, At: ni.a.sched.Now(),
+			ni.nw.Trace(TraceEvent{Kind: TraceDrop, At: ni.nw.Sched.Now(),
 				Flit: packet.Flit{Pkt: pkt, Attempt: attempts}})
 		}
 		return
@@ -1022,7 +943,7 @@ func (ni *SourceNI) timeout(slot int32) {
 	st.attempts++
 	stats.Retries++
 	if ni.nw.Trace != nil {
-		ni.nw.Trace(TraceEvent{Kind: TraceRetransmit, At: ni.a.sched.Now(),
+		ni.nw.Trace(TraceEvent{Kind: TraceRetransmit, At: ni.nw.Sched.Now(),
 			Flit: packet.Flit{Pkt: st.pkt, Attempt: st.attempts}})
 	}
 	ni.pushFlits(st.pkt, st.attempts)
@@ -1040,7 +961,7 @@ func (ni *SourceNI) confirm(h pool.Handle, dest int) {
 	}
 	st.outstanding &^= packet.Dest(dest)
 	if st.outstanding.Empty() {
-		ni.a.sched.Cancel(st.timer)
+		ni.nw.Sched.Cancel(st.timer)
 		ni.txSlab.Free(h)
 	}
 }
@@ -1051,13 +972,13 @@ func (ni *SourceNI) pump() {
 	}
 	f := ni.queue.Pop()
 	ni.busy = true
-	ni.a.meterInterface()
+	ni.nw.Meter.Interface()
 	ni.out.Send(f)
 }
 
 // OnAck implements node.AckTarget: the root channel returned its ack.
 func (ni *SourceNI) OnAck(int) {
-	ni.a.sched.In(timing.NICycle, ni, evNIPump)
+	ni.nw.Sched.In(timing.NICycle, ni, evNIPump)
 }
 
 // OnEvent implements sim.Handler: the source interface's timer events.
@@ -1079,7 +1000,6 @@ func (ni *SourceNI) OnEvent(arg int64) {
 // every flit has landed clean.
 type SinkNI struct {
 	nw   *Network
-	a    *actx
 	dest int
 	in   *node.Channel
 
@@ -1111,7 +1031,7 @@ type endAck struct {
 }
 
 func newSinkNI(nw *Network, dest int) *SinkNI {
-	return &SinkNI{nw: nw, a: nw.actxFor(dest), dest: dest, rxOn: nw.inj != nil}
+	return &SinkNI{nw: nw, dest: dest, rxOn: nw.inj != nil}
 }
 
 // rxStateFor returns the receive progress for packet id, creating it on
@@ -1138,36 +1058,37 @@ func (ni *SinkNI) OnEvent(arg int64) {
 
 // OnFlit implements node.Sink.
 func (ni *SinkNI) OnFlit(_ int, f packet.Flit) {
-	now := ni.a.sched.Now()
-	ni.a.meterInterface()
+	nw := ni.nw
+	now := nw.Sched.Now()
+	nw.Meter.Interface()
 	if !ni.rxOn {
 		// Fault layer disabled: the legacy path, bit-identical to the
 		// pre-fault model.
-		ni.a.recDelivered(now, f.Pkt.D2DHops > 0)
+		nw.Rec.FlitDelivered(now, f.Pkt.D2DHops > 0)
 		if f.IsHeader() {
 			// The recorder tracks die-local destination masks, so membership
 			// is checked against the sink's index within its die (identical
 			// to ni.dest on single-die networks).
-			ni.a.recHeader(f.Pkt, ni.dest%ni.nw.Spec.N, now)
+			nw.Rec.HeaderArrived(f.Pkt, ni.dest%nw.Spec.N, now)
 		}
-		if ni.nw.Trace != nil {
-			ni.a.trace(TraceEvent{Kind: TraceDeliver, At: now, Flit: f, Dest: ni.dest})
+		if nw.Trace != nil {
+			nw.Trace(TraceEvent{Kind: TraceDeliver, At: now, Flit: f, Dest: ni.dest})
 		}
-		ni.a.sched.In(timing.SinkAck, ni, evSinkConsume)
-		if ni.nw.pooling {
+		nw.Sched.In(timing.SinkAck, ni, evSinkConsume)
+		if nw.pooling {
 			// Last use of the flit in this event: recorder, trace, and
 			// ack are done, so the delivered copy can retire.
-			ni.a.release(f.Pkt)
+			nw.releaseCopy(f.Pkt)
 		}
 		return
 	}
 	// Fault mode: the physical arrival is always traced and acknowledged
 	// at the link level, but accounting accepts each (packet, flit index)
 	// exactly once and only when the CRC checks out.
-	if ni.nw.Trace != nil {
-		ni.nw.Trace(TraceEvent{Kind: TraceDeliver, At: now, Flit: f, Dest: ni.dest})
+	if nw.Trace != nil {
+		nw.Trace(TraceEvent{Kind: TraceDeliver, At: now, Flit: f, Dest: ni.dest})
 	}
-	ni.a.sched.In(timing.SinkAck, ni, evSinkConsume)
+	nw.Sched.In(timing.SinkAck, ni, evSinkConsume)
 	if !f.CheckCRC() {
 		return // corrupted in flight; recovered by retransmission
 	}
@@ -1178,15 +1099,15 @@ func (ni *SinkNI) OnFlit(_ int, f packet.Flit) {
 	}
 	st.got |= bit
 	if f.Attempt > 0 {
-		ni.nw.inj.Stats.RecoveredFlits++
+		nw.inj.Stats.RecoveredFlits++
 	}
-	ni.nw.Rec.FlitDelivered(now, false)
+	nw.Rec.FlitDelivered(now, false)
 	if f.IsHeader() {
-		ni.nw.Rec.HeaderArrived(f.Pkt, ni.dest, now)
+		nw.Rec.HeaderArrived(f.Pkt, ni.dest, now)
 	}
 	if !st.acked && st.got == uint64(1)<<uint(f.Pkt.Length)-1 {
 		st.acked = true
 		ni.acks.Push(endAck{src: f.Pkt.Src, h: f.Pkt.TxSlot})
-		ni.a.sched.In(sim.Time(ni.nw.inj.Config().AckDelayPs), ni, evSinkEndAck)
+		nw.Sched.In(sim.Time(nw.inj.Config().AckDelayPs), ni, evSinkEndAck)
 	}
 }

@@ -106,7 +106,7 @@ func TestPacketPoolConservation(t *testing.T) {
 	for _, spec := range []Spec{baselineSpec(8), optHybrid(8)} {
 		nw, _ := runPoolWorkload(t, spec, true)
 		seen := make(map[*packet.Packet]bool)
-		for _, p := range nw.freePackets() {
+		for _, p := range nw.pktFree {
 			if p.Refs != 0 {
 				t.Errorf("%s: freelisted packet with refcount %d", spec.Name, p.Refs)
 			}
@@ -115,7 +115,7 @@ func TestPacketPoolConservation(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		allocated := len(nw.freePackets())
+		allocated := len(nw.pktFree)
 		created := int(nw.nextID)
 		if allocated == 0 || allocated >= created/2 {
 			t.Errorf("%s: %d heap packets for %d created — pool not recycling", spec.Name, allocated, created)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"asyncnoc/internal/core"
-	"asyncnoc/internal/sim"
 )
 
 // monEngine and monProgress are the live sources behind the published
@@ -44,25 +43,6 @@ var (
 					"writes":  s.Store.Writes, "write_errors": s.Store.WriteErrors,
 					"evictions": s.Store.Evictions,
 				}
-			}
-			return out
-		}))
-		expvar.Publish("asyncnoc.shard", expvar.Func(func() any {
-			s := sim.GlobalShardStats()
-			if s.Barriers == 0 {
-				return nil
-			}
-			out := map[string]any{
-				"barriers":          s.Barriers,
-				"windows":           s.Windows,
-				"extended_windows":  s.ExtendedWindows,
-				"coalesced_replays": s.CoalescedReplays,
-				"merged_dispatches": s.MergedDispatches,
-				"mailbox_events":    s.MailboxEvents,
-				"held_mail":         s.HeldMail,
-			}
-			if s.BarrierNs > 0 {
-				out["barrier_seconds"] = float64(s.BarrierNs) / 1e9
 			}
 			return out
 		}))

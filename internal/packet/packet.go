@@ -154,13 +154,6 @@ type Packet struct {
 	// CreatedAt is the generation timestamp in picoseconds, recorded by
 	// the network interface for latency accounting.
 	CreatedAt int64
-	// Owner is 1 + the terminal whose injection context allocated this
-	// packet (0 means "use Src"). On chiplet-composed networks a
-	// die-to-die leg is materialized at the ingress die, whose terminal
-	// differs from the packet's original Src; every pooling operation
-	// must route through the allocating context, so the owner is
-	// carried explicitly.
-	Owner int32
 	// D2DHops is the number of die-to-die mesh hops this packet (or leg)
 	// crossed before injection into its fanout tree; 0 on single-die
 	// networks and intra-die traffic. It classifies deliveries into the

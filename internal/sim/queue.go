@@ -5,8 +5,8 @@ package sim
 // promoted to a delay class, joins that class's FIFO ring: the clock
 // never runs backwards and seq only grows, so entries pushed with the
 // same delay arrive in nondecreasing (at, seq) order and each ring is
-// sorted without any work. Every other event — rare delays, absolute
-// times, everything on a shard — goes into a general 4-ary min-heap.
+// sorted without any work. Every other event — rare delays and absolute
+// times — goes into a general 4-ary min-heap.
 // The front of the queue is the earlier of the general heap's root and
 // the root of a small binary heap over the ring heads, so dispatch
 // follows exactly the (at, seq) order of a single heap.
@@ -84,8 +84,8 @@ type ring struct {
 // classTable maps delays to classes and counts the recurrence of the
 // delays not yet promoted. It also backs the queue's rings and heads and
 // every ring's first buffer, so a run's promotions allocate nothing. It
-// is allocated on the first push, so a scheduler that never runs (or a
-// sharded one, which has no classes) costs nothing extra.
+// is allocated on the first push, so a scheduler that never runs costs
+// nothing extra.
 type classTable struct {
 	index [1 << indexBits]struct {
 		d    Time

@@ -16,8 +16,8 @@
 // that comes from a dozen constants. A delay that keeps recurring is
 // promoted to a delay class with its own FIFO ring; since the clock never
 // runs backwards, each ring is sorted by construction and a push is O(1).
-// Everything else (rare delays, absolute times, every event of a sharded
-// scheduler) goes into a general 4-ary heap. Dispatch takes the earlier
+// Everything else (rare delays, absolute times) goes into a general
+// 4-ary heap. Dispatch takes the earlier
 // of the heap's root and the root of a small heap over the ring heads.
 // Cancel leaves a stale entry that dispatch skips; a ring or the heap is
 // compacted once its stale entries outnumber its live ones. See queue.go.
@@ -144,10 +144,6 @@ type Scheduler struct {
 	executed uint64
 	// stopped is set by Stop and cleared by the run loops on entry.
 	stopped bool
-	// shard is the sharded-execution context, non-nil only on schedulers
-	// owned by a ShardGroup (see shard.go). Serial schedulers never touch
-	// it beyond one nil check per At/step.
-	shard *shardState
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -191,16 +187,7 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 	}
 	idx := s.alloc(h, arg)
 	sl := &s.slots[idx]
-	k := key{at: at}
-	if sh := s.shard; sh != nil {
-		// Composite creation-order stamp; provisional stamps are rewritten
-		// at a window barrier (resolveFresh).
-		k.seq = sh.stampSeq()
-		sl.cls = heapClass
-		s.q.pushHeap(entry{key: k, slot: idx, gen: sl.gen})
-		return EventID{slot: idx, gen: sl.gen}
-	}
-	k.seq = s.nextSeq
+	k := key{at: at, seq: s.nextSeq}
 	s.nextSeq++
 	// Find d's class and append to its ring. This is the per-toggle
 	// path, so the common cases are written out here: d at its home slot
@@ -328,9 +315,6 @@ func (s *Scheduler) step(deadline Time) bool {
 			continue
 		}
 		s.now = e.at
-		if sh := s.shard; sh != nil {
-			sh.beginDispatch(e.at, e.seq)
-		}
 		idx := e.slot
 		sl := &s.slots[idx]
 		h, arg := sl.h, sl.arg

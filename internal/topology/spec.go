@@ -9,13 +9,8 @@ package topology
 // the interface carries everything a generic driver needs:
 //
 //   - Terminals: how many injection/delivery endpoints the built
-//     network exposes (sources == sinks), sizing benchmarks, shard
-//     maps, and reservation estimates;
-//   - ShardLookaheadPs: the minimum cross-shard-region channel latency
-//     in picoseconds — the Chandy–Misra conservative window a sharded
-//     run of this topology may use (0 = sharding unsupported);
-//   - MaxShards: the largest shard count the topology can be
-//     partitioned into (1 = serial only);
+//     network exposes (sources == sinks), sizing benchmarks and
+//     reservation estimates;
 //   - CanonicalKey: a stable, collision-free serialization of every
 //     behavior-affecting field, used in engine memo keys and the
 //     persistent result store.
@@ -24,11 +19,6 @@ type TopologySpec interface {
 	TopologyName() string
 	// Terminals is the number of source/sink terminal pairs.
 	Terminals() int
-	// ShardLookaheadPs is the conservative lookahead window in
-	// picoseconds for sharded execution, or 0 if unsupported.
-	ShardLookaheadPs() int64
-	// MaxShards is the largest usable scheduler-shard count.
-	MaxShards() int
 	// Validate checks the spec for internal consistency.
 	Validate() error
 	// CanonicalKey serializes every behavior-affecting field.
