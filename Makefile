@@ -91,8 +91,8 @@ service-smoke:
 # must never panic, and any entry it accepts must re-encode
 # byte-identically (acceptance implies integrity). The scheduler must
 # dispatch exactly what the sorted-slice reference model does, with
-# exact live and stale counts, under any mix of delay classes, cancels
-# and deadlines. ParseTopology must never panic, and any value it
+# exact queue and slab counts, under any mix of delay classes and
+# deadlines. ParseTopology must never panic, and any value it
 # accepts must format back to kind:WxH and parse to the same selection.
 # Longer campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m
 # ./internal/store (or FuzzScheduler in ./internal/sim,

@@ -605,19 +605,7 @@ func FormatLatencyHistogram(samplesNs []float64, bins, barWidth int) string {
 // DrawPlacement renders the spec's fanout-tree speculation placement as
 // ASCII art (speculative nodes marked [S#], addressable ones (N#:f#)).
 func DrawPlacement(spec NetworkSpec) (string, error) {
-	m, err := topology.New(spec.N)
-	if err != nil {
-		return "", err
-	}
-	var pl *topology.Placement
-	switch {
-	case spec.Serial:
-		pl, err = topology.ForScheme(m, topology.NonSpeculative)
-	case spec.SpecLevels != nil:
-		pl, err = topology.NewPlacement(m, spec.SpecLevels)
-	default:
-		pl, err = topology.ForScheme(m, spec.Scheme)
-	}
+	pl, err := spec.Placement()
 	if err != nil {
 		return "", err
 	}

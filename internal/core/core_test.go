@@ -395,8 +395,8 @@ func TestRunSchedule(t *testing.T) {
 	if res.MeasuredPackets != 3 || res.Completion != 1 {
 		t.Fatalf("schedule run incomplete: %+v", res)
 	}
-	if res.AvgLatencyNs <= 0 {
-		t.Errorf("no latency measured: %+v", res)
+	if res.AvgLatencyNs <= 0 || res.P50LatencyNs <= 0 || res.P99LatencyNs <= 0 {
+		t.Errorf("latency summary incomplete: %+v", res)
 	}
 	// Determinism of replay.
 	res2, err := RunSchedule(OptHybridSpeculative(8), sched, 2000*sim.Nanosecond)

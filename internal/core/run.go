@@ -319,7 +319,7 @@ func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEve
 				}
 				streaks = next
 			}
-			if t >= total || sched.Len() == 0 {
+			if t >= total || nw.Quiesced() {
 				break
 			}
 		}
@@ -327,7 +327,7 @@ func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEve
 			sched.RunUntil(total) // advance the clock past an early quiescence
 		}
 	}
-	if sched.Len() == 0 {
+	if nw.Quiesced() {
 		if stuck := nw.StuckFlits(); len(stuck) > 0 {
 			return &DeadlockError{Network: nw.Spec.Name, At: sched.Now(), Stuck: stuck}
 		}
@@ -430,10 +430,16 @@ func gap(r *rng.Source, meanPs float64) sim.Time {
 
 // Collect extracts the run's measurements from a finished network.
 func Collect(nw *network.Network, cfg RunConfig) RunResult {
+	return collect(nw, cfg.Bench.Name(), cfg.LoadGFs)
+}
+
+// collect builds the RunResult of a finished network driven by the named
+// benchmark at the given offered load.
+func collect(nw *network.Network, bench string, loadGFs float64) RunResult {
 	res := RunResult{
 		Network:         nw.Spec.Name,
-		Benchmark:       cfg.Bench.Name(),
-		LoadGFs:         cfg.LoadGFs,
+		Benchmark:       bench,
+		LoadGFs:         loadGFs,
 		ThroughputGFs:   nw.Rec.ThroughputGFs(nw.Spec.Terminals()),
 		PowerMW:         nw.Meter.PowerMW(),
 		Completion:      nw.Rec.CompletionRate(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -71,9 +72,10 @@ func (rp *replayer) OnEvent(arg int64) {
 
 // RunSchedule replays an explicit schedule through a network and measures
 // every injected packet (the window spans the whole schedule). Drain
-// bounds the extra simulated time after the last injection; the run also
-// ends early once the event queue empties. Protocol violations surface
-// as *ProtocolError and a wedged replay as *DeadlockError.
+// bounds the extra simulated time after the last injection. The result
+// is built like Run's, under the benchmark name "schedule" and zero
+// offered load. Protocol violations surface as *ProtocolError and a
+// wedged replay as *DeadlockError.
 func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResult, err error) {
 	defer RecoverViolations(spec.Name, &err)
 	if spec.Chiplet != nil {
@@ -101,21 +103,8 @@ func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResu
 	for i := range ordered {
 		nw.Sched.At(ordered[i].At, rp, int64(i))
 	}
-	nw.Sched.RunUntil(end)
-	if nw.Sched.Len() == 0 {
-		if stuck := nw.StuckFlits(); len(stuck) > 0 {
-			return RunResult{}, &DeadlockError{Network: spec.Name, At: nw.Sched.Now(), Stuck: stuck}
-		}
+	if err := runGuarded(context.Background(), nw, end, 0); err != nil {
+		return RunResult{}, err
 	}
-	res = RunResult{
-		Network:         spec.Name,
-		Benchmark:       "schedule",
-		ThroughputGFs:   nw.Rec.ThroughputGFs(spec.N),
-		PowerMW:         nw.Meter.PowerMW(),
-		Completion:      nw.Rec.CompletionRate(),
-		MeasuredPackets: nw.Rec.MeasuredCreated(),
-	}
-	res.AvgLatencyNs, _ = nw.Rec.AvgLatencyNs()
-	res.P95LatencyNs, _ = nw.Rec.P95LatencyNs()
-	return res, nil
+	return collect(nw, "schedule", 0), nil
 }

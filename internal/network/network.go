@@ -150,6 +150,24 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// Placement builds the spec's MoT and resolves which fanout levels
+// speculate: the serial baseline has no speculation and takes only the
+// tree geometry, explicit SpecLevels override the named Scheme.
+func (s Spec) Placement() (*topology.Placement, error) {
+	m, err := topology.New(s.N)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case s.Serial:
+		return topology.ForScheme(m, topology.NonSpeculative)
+	case s.SpecLevels != nil:
+		return topology.NewPlacement(m, s.SpecLevels)
+	default:
+		return topology.ForScheme(m, s.Scheme)
+	}
+}
+
 // routeBits returns the multicast source-route size the spec's placement
 // needs: 0 for the serial baseline, which routes unicast with one bit per
 // level, and for radices Build rejects anyway.
@@ -266,6 +284,10 @@ type Network struct {
 	// pktFree is the packet freelist.
 	pktFree []*packet.Packet
 
+	// deadTimers counts pending retry timers whose packet was already
+	// confirmed (fault mode only); they fire as no-ops.
+	deadTimers int
+
 	// planBuf/emitPlan are the reusable plan-collection plumbing of
 	// injectLeg.
 	planBuf  []routing.Plan
@@ -275,6 +297,10 @@ type Network struct {
 // Group always returns nil. Callers that must run a network on its one
 // Scheduler still check it; every network is serial.
 func (nw *Network) Group() any { return nil }
+
+// Quiesced reports whether the network has nothing left to do: every
+// pending event, if any, is a dead retry timer.
+func (nw *Network) Quiesced() bool { return nw.Sched.Len() == nw.deadTimers }
 
 // FaultStats exposes the run's fault and recovery counters, or nil when
 // the fault layer is disabled.
@@ -291,24 +317,11 @@ func New(spec Spec) (*Network, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := topology.New(spec.N)
+	pl, err := spec.Placement()
 	if err != nil {
 		return nil, err
 	}
-	var pl *topology.Placement
-	switch {
-	case spec.Serial:
-		// The baseline network has no speculation; the placement only
-		// provides tree geometry.
-		pl, err = topology.ForScheme(m, topology.NonSpeculative)
-	case spec.SpecLevels != nil:
-		pl, err = topology.NewPlacement(m, spec.SpecLevels)
-	default:
-		pl, err = topology.ForScheme(m, spec.Scheme)
-	}
-	if err != nil {
-		return nil, err
-	}
+	m := pl.MoT()
 	nw := &Network{
 		Spec:      spec,
 		MoT:       m,
@@ -758,12 +771,6 @@ func (fl *d2dFlight) OnEvent(int64) {
 // SourceQueueLen returns the backlog (in flits) of one source interface.
 func (nw *Network) SourceQueueLen(src int) int { return nw.sources[src].queue.Len() }
 
-// FaultFanoutChannel arms a stuck-at fault on one fanout output channel
-// after `after` successful flits (failure injection for tests).
-func (nw *Network) FaultFanoutChannel(tree, heap int, port topology.Port, after int) {
-	nw.fanouts[tree][heap].OutputChannel(port).Fault(after)
-}
-
 // Fanout exposes one fanout node (tests and diagnostics).
 func (nw *Network) Fanout(tree, heap int) *node.Fanout { return nw.fanouts[tree][heap] }
 
@@ -785,8 +792,8 @@ var portNames = map[topology.Port]string{topology.Top: "T", topology.Bottom: "B"
 
 // StuckFlits walks every queue, node stage, and channel in deterministic
 // order and reports each flit still held inside the fabric. A healthy
-// network that has quiesced (empty event queue) holds none; a non-empty
-// result with an empty event queue is a deadlock, and the listed
+// network that has quiesced (see Quiesced) holds none; a non-empty
+// result from a quiesced network is a deadlock, and the listed
 // locations are the watchdog's diagnostic.
 func (nw *Network) StuckFlits() []StuckFlit {
 	var out []StuckFlit
@@ -832,16 +839,8 @@ func (nw *Network) StuckFlits() []StuckFlit {
 	return out
 }
 
-// Source and sink interface event payloads. The low byte selects the
-// action; the high bits carry a small operand (the tx-slab slot index for
-// retransmission timers), mirroring the node package's encoding.
+// Sink interface event payloads.
 const (
-	// evNIPump: the source interface cycle elapsed — resume the queue.
-	evNIPump = 0
-	// evNITimeout: a tracked packet's retransmission deadline passed;
-	// arg>>8 is its tx-slab slot.
-	evNITimeout = 1
-
 	// evSinkConsume: the sink consume time elapsed — return the channel ack.
 	evSinkConsume = 0
 	// evSinkEndAck: an end-to-end delivery acknowledge matured — pop the
@@ -867,11 +866,9 @@ type SourceNI struct {
 	busy  bool
 
 	// txSlab tracks unacknowledged packets (fault mode only, gated by
-	// txOn). Timer events carry the raw slot index; the invariant that
-	// makes that safe is cancel-before-free: confirm cancels the timer
-	// before freeing the slot, and a firing timeout either frees without
-	// rearming or rearms while the slot is still live, so a pending
-	// timer's slot is always the occupant it was armed for.
+	// txOn). Every live entry has exactly one pending retryTimer event
+	// carrying its handle. confirm frees the entry without touching the
+	// timer, which later fires, finds the handle stale and does nothing.
 	txSlab pool.Slab[txState]
 	txOn   bool
 }
@@ -881,7 +878,6 @@ type txState struct {
 	pkt         *packet.Packet
 	outstanding packet.DestSet
 	attempts    int
-	timer       sim.EventID
 }
 
 func newSourceNI(nw *Network, src int) *SourceNI {
@@ -894,7 +890,7 @@ func (ni *SourceNI) enqueue(p *packet.Packet) {
 		st.pkt = p
 		st.outstanding = p.Dests
 		p.TxSlot = h
-		ni.arm(h.Index(), st)
+		ni.arm(h, st)
 	} else if ni.nw.pooling {
 		// The packet's initial refcount is its materialized flits.
 		p.Refs = int32(p.Length)
@@ -913,24 +909,36 @@ func (ni *SourceNI) pushFlits(p *packet.Packet, attempt int) {
 	}
 }
 
+// retryTimer is a source interface's retransmission timer. Its event
+// payload is the packed tx-slab handle of the tracked packet.
+type retryTimer SourceNI
+
+// OnEvent implements sim.Handler.
+func (t *retryTimer) OnEvent(arg int64) { (*SourceNI)(t).timeout(pool.Unpack(arg)) }
+
 // arm schedules the retransmission timer for the packet's next attempt.
-func (ni *SourceNI) arm(slot int32, st *txState) {
+func (ni *SourceNI) arm(h pool.Handle, st *txState) {
 	cfg := ni.nw.inj.Config()
-	st.timer = ni.nw.Sched.In(sim.Time(cfg.BackoffPs(st.attempts+1)), ni,
-		int64(slot)<<8|evNITimeout)
+	ni.nw.Sched.In(sim.Time(cfg.BackoffPs(st.attempts+1)), (*retryTimer)(ni), h.Pack())
 }
 
-// timeout fires when a tracked packet missed its delivery deadline:
+// timeout fires when a tracked packet's delivery deadline passed:
 // retransmit all flits, or write the packet off once the budget is spent.
-func (ni *SourceNI) timeout(slot int32) {
-	st := ni.txSlab.At(slot)
+// A timer whose packet was confirmed in the meantime finds its handle
+// stale and does nothing.
+func (ni *SourceNI) timeout(h pool.Handle) {
+	st := ni.txSlab.Get(h)
+	if st == nil {
+		ni.nw.deadTimers--
+		return
+	}
 	cfg := ni.nw.inj.Config()
 	stats := &ni.nw.inj.Stats
 	if st.attempts >= cfg.MaxRetries {
 		pkt, attempts := st.pkt, st.attempts
 		stats.LostFlits += pkt.Length * st.outstanding.Count()
 		stats.LostPackets++
-		ni.txSlab.Free(pkt.TxSlot)
+		ni.txSlab.Free(h)
 		// Release the recorder's per-packet tracking state: the packet
 		// can never complete, and soak runs must not accumulate it.
 		ni.nw.Rec.PacketLost(pkt, ni.nw.Sched.Now())
@@ -947,13 +955,14 @@ func (ni *SourceNI) timeout(slot int32) {
 			Flit: packet.Flit{Pkt: st.pkt, Attempt: st.attempts}})
 	}
 	ni.pushFlits(st.pkt, st.attempts)
-	ni.arm(slot, st)
+	ni.arm(h, st)
 	ni.pump()
 }
 
 // confirm processes one destination's end-to-end delivery acknowledge.
 // A stale handle (the packet already completed or was written off, and
-// the slot's generation advanced) is a no-op.
+// the slot's generation advanced) is a no-op. Completing a packet leaves
+// its retry timer pending as a dead timer.
 func (ni *SourceNI) confirm(h pool.Handle, dest int) {
 	st := ni.txSlab.Get(h)
 	if st == nil {
@@ -961,8 +970,8 @@ func (ni *SourceNI) confirm(h pool.Handle, dest int) {
 	}
 	st.outstanding &^= packet.Dest(dest)
 	if st.outstanding.Empty() {
-		ni.nw.Sched.Cancel(st.timer)
 		ni.txSlab.Free(h)
+		ni.nw.deadTimers++
 	}
 }
 
@@ -978,18 +987,14 @@ func (ni *SourceNI) pump() {
 
 // OnAck implements node.AckTarget: the root channel returned its ack.
 func (ni *SourceNI) OnAck(int) {
-	ni.nw.Sched.In(timing.NICycle, ni, evNIPump)
+	ni.nw.Sched.In(timing.NICycle, ni, 0)
 }
 
-// OnEvent implements sim.Handler: the source interface's timer events.
-func (ni *SourceNI) OnEvent(arg int64) {
-	switch arg & 0xff {
-	case evNIPump:
-		ni.busy = false
-		ni.pump()
-	case evNITimeout:
-		ni.timeout(int32(arg >> 8))
-	}
+// OnEvent implements sim.Handler: the source interface cycle elapsed, so
+// resume the queue.
+func (ni *SourceNI) OnEvent(int64) {
+	ni.busy = false
+	ni.pump()
 }
 
 // SinkNI is a destination network interface: it consumes flits, records

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"asyncnoc/internal/fault"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
+	"asyncnoc/internal/sim"
 	"asyncnoc/internal/topology"
 )
 
@@ -360,8 +362,7 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 		nw.Sched.Run()
-		lat, _ := nw.Rec.AvgLatencyNs()
-		return nw.Sched.Executed(), lat
+		return nw.Sched.Executed(), nw.Rec.LatencySummary().Mean()
 	}
 	e1, l1 := run()
 	e2, l2 := run()
@@ -634,15 +635,16 @@ func TestEnergyEventsWithSpeculation(t *testing.T) {
 // of the network is unaffected) and localizable (the subtree below the
 // fault goes quiet).
 func TestFaultInjection(t *testing.T) {
-	nw, err := New(basicNonSpec(8))
+	spec := basicNonSpec(8)
+	// Kill tree 0's node-2 top output (the only path to dests 0 and 1)
+	// after one flit.
+	spec.Faults = fault.Config{Stuck: []fault.Stuck{{Tree: 0, Heap: 2, Port: 0, After: 1}}}
+	nw, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Rec.SetWindow(0, 1<<62)
 	u := AttachUtilization(nw)
-	// Kill tree 0's node-2 top output (the only path to dests 0 and 1)
-	// after one flit.
-	nw.FaultFanoutChannel(0, 2, topology.Top, 1)
 	for d := 0; d < 8; d++ {
 		if _, err := nw.Inject(0, packet.Dest(d)); err != nil {
 			t.Fatal(err)
@@ -665,6 +667,90 @@ func TestFaultInjection(t *testing.T) {
 	}
 	if u.Delivered >= 16*5 {
 		t.Error("utilization did not reflect the loss")
+	}
+}
+
+// jitterOnly is a fault config that delays flits but never loses one, so
+// every packet is confirmed on its first attempt and every retry timer
+// fires after its packet was freed.
+var jitterOnly = fault.Config{Seed: 3, JitterRate: 0.5}
+
+// injectAllPairs sends one packet from every source to its mirror
+// destination and one broadcast from source 0.
+func injectAllPairs(t *testing.T, nw *Network) int {
+	t.Helper()
+	n := nw.Spec.N
+	for s := 0; s < n; s++ {
+		if _, err := nw.Inject(s, packet.Dest(n-1-s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nw.Inject(0, packet.Range(0, n)); err != nil {
+		t.Fatal(err)
+	}
+	return n + 1
+}
+
+// TestRetryTimerIgnoresConfirmedPacket drains a jitter-only fault run:
+// every packet is confirmed before its first timeout, so a retry timer
+// that acted on a freed tx-slab handle would show up as a retry or a
+// loss.
+func TestRetryTimerIgnoresConfirmedPacket(t *testing.T) {
+	spec := optHybrid(8)
+	spec.Faults = jitterOnly
+	nw, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Rec.SetWindow(0, 1<<62)
+	packets := injectAllPairs(t, nw)
+	nw.Sched.Run()
+	fs := nw.FaultStats()
+	if fs.Injected == 0 {
+		t.Fatal("jitter never fired; the test exercises nothing")
+	}
+	if fs.Retries != 0 || fs.LostPackets != 0 {
+		t.Errorf("retries %d, lost packets %d; want 0 and 0", fs.Retries, fs.LostPackets)
+	}
+	if done := nw.Rec.MeasuredCompleted(); done != packets {
+		t.Errorf("%d/%d packets completed", done, packets)
+	}
+	if nw.Sched.Len() != 0 || nw.deadTimers != 0 {
+		t.Errorf("drained with %d pending events, %d dead timers", nw.Sched.Len(), nw.deadTimers)
+	}
+}
+
+// TestQuiescedWithOnlyDeadTimers stops a jitter-only fault run after
+// every packet was confirmed but before any retry timer fired: the
+// pending events are all dead timers, so the network is quiesced.
+func TestQuiescedWithOnlyDeadTimers(t *testing.T) {
+	spec := optHybrid(8)
+	spec.Faults = jitterOnly
+	nw, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Rec.SetWindow(0, 1<<62)
+	packets := injectAllPairs(t, nw)
+	if nw.Quiesced() {
+		t.Fatal("quiesced with packets in flight")
+	}
+	nw.Sched.RunUntil(sim.Time(fault.DefaultRetryTimeoutPs) / 2)
+	if done := nw.Rec.MeasuredCompleted(); done != packets {
+		t.Fatalf("%d/%d packets completed before the first timeout", done, packets)
+	}
+	if nw.Sched.Len() != packets {
+		t.Fatalf("%d pending events, want one dead timer per packet (%d)", nw.Sched.Len(), packets)
+	}
+	if !nw.Quiesced() {
+		t.Errorf("not quiesced: %d pending events, %d dead timers", nw.Sched.Len(), nw.deadTimers)
+	}
+	if stuck := nw.StuckFlits(); len(stuck) > 0 {
+		t.Errorf("quiesced with %d flits held", len(stuck))
+	}
+	nw.Sched.Run()
+	if !nw.Quiesced() || nw.Sched.Len() != 0 {
+		t.Errorf("after the timers fired: %d pending events, %d dead timers", nw.Sched.Len(), nw.deadTimers)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package pool provides the per-run memory primitives behind the
 // simulator's near-zero-allocation data plane: an index-keyed slot slab
-// with a free list and generation-counted handles (the same pattern the
-// event kernel in internal/sim uses for its slots), an open-addressing
+// with a free list and generation-counted handles, an open-addressing
 // uint64 index that replaces map churn on ID-keyed lookups, and a
 // growable ring buffer for FIFO queues that reuse their backing arrays.
 //
@@ -25,10 +24,15 @@ type Handle struct {
 // Handle). A valid handle may still be stale; Get is the authority.
 func (h Handle) Valid() bool { return h.gen != 0 }
 
-// Index returns the slot index of the handle, usable with Slab.At by
-// callers that guarantee liveness out of band (e.g. a timer that is
-// always canceled before its slot is freed).
+// Index returns the slot index of the handle.
 func (h Handle) Index() int32 { return h.idx }
+
+// Pack encodes h in one int64, such as an event payload; Unpack
+// restores it.
+func (h Handle) Pack() int64 { return int64(h.idx)<<32 | int64(h.gen) }
+
+// Unpack restores a Handle encoded by Pack.
+func Unpack(x int64) Handle { return Handle{idx: int32(x >> 32), gen: uint32(x)} }
 
 // slabSlot wraps one value with its liveness bookkeeping.
 type slabSlot[T any] struct {
@@ -41,7 +45,7 @@ type slabSlot[T any] struct {
 
 // Slab is an index-keyed slot pool: Alloc hands out a zeroed slot and a
 // generation-counted Handle, Free recycles it through a free list. The
-// zero value is ready to use. Pointers returned by Alloc/Get/At are
+// zero value is ready to use. Pointers returned by Alloc/Get are
 // invalidated by the next Alloc (the backing array may move); callers
 // must not hold them across allocations.
 type Slab[T any] struct {
@@ -95,12 +99,6 @@ func (s *Slab[T]) Get(h Handle) *T {
 	}
 	return &sl.v
 }
-
-// At returns the value at a raw slot index without a generation check.
-// The caller must guarantee the slot is live — the one legitimate use is
-// an event payload whose schedule is always canceled before the slot is
-// freed, exactly like the kernel's cancel-before-release invariant.
-func (s *Slab[T]) At(idx int32) *T { return &s.slots[idx].v }
 
 // Free releases a slot back to the free list, advancing its generation
 // so outstanding handles go stale. Freeing a stale or zero handle is a

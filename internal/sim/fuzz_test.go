@@ -25,51 +25,34 @@ type fuzzRig struct {
 	seq   uint64
 	tag   int64
 	log   []dispatchRec
-	live  map[int64]EventID
-	order []int64 // live tags in schedule order, for picking
-	dead  []EventID
 	spawn map[int64]Time
 }
 
 func (r *fuzzRig) OnEvent(tag int64) {
 	r.log = append(r.log, dispatchRec{tag: tag, at: r.s.Now()})
-	r.retire(tag)
 	if d, ok := r.spawn[tag]; ok {
 		delete(r.spawn, tag)
 		r.in(d)
 	}
 }
 
-// add records an event the kernel just queued under id at time at.
-func (r *fuzzRig) add(id EventID, at Time) int64 {
+// add records an event the kernel just queued at time at.
+func (r *fuzzRig) add(at Time) int64 {
 	tag := r.tag
 	r.tag++
 	r.ref.add(at, r.seq, tag)
 	r.seq++
-	r.live[tag] = id
-	r.order = append(r.order, tag)
 	return tag
 }
 
 func (r *fuzzRig) in(d Time) int64 {
-	at := AddSat(r.s.Now(), d)
-	return r.add(r.s.In(d, r, r.tag), at)
+	r.s.In(d, r, r.tag)
+	return r.add(AddSat(r.s.Now(), d))
 }
 
 func (r *fuzzRig) at(at Time) int64 {
-	return r.add(r.s.At(at, r, r.tag), at)
-}
-
-// retire forgets a tag that fired or was canceled.
-func (r *fuzzRig) retire(tag int64) {
-	r.dead = append(r.dead, r.live[tag])
-	delete(r.live, tag)
-	for i, v := range r.order {
-		if v == tag {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
+	r.s.At(at, r, r.tag)
+	return r.add(at)
 }
 
 // expect pops every reference event due by deadline and checks that the
@@ -98,39 +81,36 @@ func (r *fuzzRig) expect(from int, deadline Time) error {
 }
 
 // checkQueue verifies the queue's bookkeeping against its contents:
-// heap and ring order, the head heap, and the exact live and stale
-// counts that Len and compaction rely on.
+// heap and ring order, the head heap, that every entry points at an
+// occupied slab slot, and that Len counts exactly the queued entries.
 func checkQueue(s *Scheduler) error {
 	q := &s.q
-	entries, stale := len(q.heap), 0
-	heapStale := 0
+	entries := len(q.heap)
+	occupied := func(e *entry) error {
+		if s.slots[e.slot].h == nil {
+			return fmt.Errorf("entry (at=%v seq=%d) points at free slot %d", e.at, e.seq, e.slot)
+		}
+		return nil
+	}
 	for i := range q.heap {
-		if s.isStale(&q.heap[i]) {
-			heapStale++
+		if err := occupied(&q.heap[i]); err != nil {
+			return err
 		}
 		if p := (i - 1) / heapArity; i > 0 && q.heap[i].key.before(q.heap[p].key) {
 			return fmt.Errorf("heap order broken at %d", i)
 		}
 	}
-	if heapStale != q.heapStale {
-		return fmt.Errorf("heap holds %d stale entries, counted %d", heapStale, q.heapStale)
-	}
-	stale += heapStale
 	nonEmpty := 0
 	for c := range q.rings {
 		r := &q.rings[c]
-		rs := 0
 		for i := 0; i < r.n; i++ {
 			e := &r.buf[(r.first+i)&(len(r.buf)-1)]
-			if s.isStale(e) {
-				rs++
+			if err := occupied(e); err != nil {
+				return err
 			}
 			if i > 0 && e.key.before(r.buf[(r.first+i-1)&(len(r.buf)-1)].key) {
 				return fmt.Errorf("ring %d out of order at %d", c, i)
 			}
-		}
-		if rs != r.stale {
-			return fmt.Errorf("ring %d holds %d stale entries, counted %d", c, rs, r.stale)
 		}
 		if r.n > 0 {
 			nonEmpty++
@@ -145,7 +125,6 @@ func checkQueue(s *Scheduler) error {
 			}
 		}
 		entries += r.n
-		stale += rs
 	}
 	if nonEmpty != len(q.heads) {
 		return fmt.Errorf("%d non-empty rings, %d heads", nonEmpty, len(q.heads))
@@ -155,11 +134,11 @@ func checkQueue(s *Scheduler) error {
 			return fmt.Errorf("head heap order broken at %d", i)
 		}
 	}
-	if stale != q.stale {
-		return fmt.Errorf("%d stale entries, counted %d", stale, q.stale)
+	if entries != s.Len() {
+		return fmt.Errorf("%d queued entries, Len %d", entries, s.Len())
 	}
-	if entries-stale != s.Len() {
-		return fmt.Errorf("%d live entries, Len %d", entries-stale, s.Len())
+	if used := len(s.slots) - len(s.free); used != entries {
+		return fmt.Errorf("%d slab slots in use for %d queued entries", used, entries)
 	}
 	return nil
 }
@@ -168,8 +147,8 @@ func checkQueue(s *Scheduler) error {
 // arbitrary interleavings of: In with recurring delays (more than the
 // class cap, so both rings and the general heap carry them), one-off
 // delays, absolute At (zero delay, Never, and saturating In), events
-// that schedule a child while dispatching, Cancel, Pending, single
-// steps and RunUntil at random deadlines. The first byte pre-promotes
+// that schedule a child while dispatching, single steps and RunUntil
+// at random deadlines. The first byte pre-promotes
 // none, some or all of the recurring delays. After every operation Len
 // must match the reference and the queue's bookkeeping must be exact.
 func FuzzScheduler(f *testing.F) {
@@ -187,7 +166,7 @@ func FuzzScheduler(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewScheduler()
-		r := &fuzzRig{s: s, live: map[int64]EventID{}, spawn: map[int64]Time{}}
+		r := &fuzzRig{s: s, spawn: map[int64]Time{}}
 		pos := 0
 		next := func() int {
 			if pos >= len(data) {
@@ -208,7 +187,7 @@ func FuzzScheduler(f *testing.F) {
 		}
 		for pos < len(data) {
 			from := len(r.log)
-			switch next() % 10 {
+			switch next() % 8 {
 			case 0, 1:
 				r.in(fuzzDelays[next()%len(fuzzDelays)])
 			case 2:
@@ -225,28 +204,7 @@ func FuzzScheduler(f *testing.F) {
 			case 4:
 				tag := r.in(fuzzDelays[next()%len(fuzzDelays)])
 				r.spawn[tag] = fuzzDelays[next()%len(fuzzDelays)]
-			case 5:
-				if len(r.order) == 0 {
-					break
-				}
-				tag := r.order[next()%len(r.order)]
-				id := r.live[tag]
-				if !s.Cancel(id) || !r.ref.cancel(tag) {
-					t.Fatalf("Cancel of live tag %d failed", tag)
-				}
-				delete(r.spawn, tag)
-				r.retire(tag)
-				if s.Cancel(id) || s.Pending(id) {
-					t.Fatalf("canceled tag %d still cancelable or pending", tag)
-				}
-			case 6:
-				if len(r.order) > 0 && !s.Pending(r.live[r.order[next()%len(r.order)]]) {
-					t.Fatal("live event not Pending")
-				}
-				if len(r.dead) > 0 && s.Pending(r.dead[next()%len(r.dead)]) {
-					t.Fatal("spent event still Pending")
-				}
-			case 7, 8:
+			case 5, 6:
 				did := s.step(Never)
 				want, ok := r.ref.popMin()
 				if did != ok {
@@ -255,7 +213,7 @@ func FuzzScheduler(f *testing.F) {
 				if ok && (len(r.log) != from+1 || r.log[from] != dispatchRec{tag: want.tag, at: want.at}) {
 					t.Fatalf("step: logged %v, want (tag=%d at=%v)", r.log[from:], want.tag, want.at)
 				}
-			case 9:
+			case 7:
 				deadline := AddSat(s.Now(), Time(next()*8))
 				s.RunUntil(deadline)
 				if err := r.expect(from, deadline); err != nil {

@@ -1,7 +1,7 @@
-// Kernel-specific tests: a randomized schedule/cancel/reschedule property
-// checked against a naive sorted-slice reference scheduler, and
+// Kernel-specific tests: a randomized schedule/dispatch property checked
+// against a naive sorted-slice reference scheduler, and
 // allocation-reporting benchmarks for the zero-allocation contract of the
-// At/In + dispatch + Cancel hot path.
+// At/In + dispatch hot path.
 package sim
 
 import (
@@ -22,16 +22,6 @@ type refSched struct{ evs []refEv }
 
 func (r *refSched) add(at Time, seq uint64, tag int64) {
 	r.evs = append(r.evs, refEv{at: at, seq: seq, tag: tag})
-}
-
-func (r *refSched) cancel(tag int64) bool {
-	for i := range r.evs {
-		if r.evs[i].tag == tag {
-			r.evs = append(r.evs[:i], r.evs[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 func (r *refSched) popMin() (refEv, bool) {
@@ -67,44 +57,24 @@ func (h *tagRecorder) OnEvent(arg int64) {
 }
 
 // TestKernelMatchesReferenceProperty drives arbitrary interleavings of
-// schedule, cancel, reschedule, and single-step dispatch through both the
-// kernel and the reference scheduler and requires identical dispatch
-// sequences (tags and timestamps), identical Cancel outcomes, and correct
-// staleness of spent EventIDs.
+// schedule and single-step dispatch through both the kernel and the
+// reference scheduler and requires identical dispatch sequences (tags
+// and timestamps) and pending counts.
 func TestKernelMatchesReferenceProperty(t *testing.T) {
 	f := func(ops []uint32) bool {
 		s := NewScheduler()
 		rec := &tagRecorder{s: s}
 		ref := &refSched{}
-		live := make(map[int64]EventID)
-		liveOrder := []int64{} // deterministic pick among live tags
 		var nextTag int64
 		var seq uint64 // mirrors the kernel's per-At sequence counter
 
-		pick := func(sel uint32) (int64, bool) {
-			if len(liveOrder) == 0 {
-				return 0, false
-			}
-			return liveOrder[int(sel)%len(liveOrder)], true
-		}
-		drop := func(tag int64) {
-			delete(live, tag)
-			for i, v := range liveOrder {
-				if v == tag {
-					liveOrder = append(liveOrder[:i], liveOrder[i+1:]...)
-					break
-				}
-			}
-		}
 		schedule := func(delay Time) {
 			tag := nextTag
 			nextTag++
 			at := s.Now() + delay
-			id := s.At(at, rec, tag)
+			s.At(at, rec, tag)
 			ref.add(at, seq, tag)
 			seq++
-			live[tag] = id
-			liveOrder = append(liveOrder, tag)
 		}
 		checkStep := func() bool {
 			before := len(rec.log)
@@ -117,7 +87,6 @@ func TestKernelMatchesReferenceProperty(t *testing.T) {
 			if !ok {
 				return true
 			}
-			drop(want.tag)
 			if len(rec.log) != before+1 {
 				t.Logf("step logged %d dispatches, want 1", len(rec.log)-before)
 				return false
@@ -133,40 +102,13 @@ func TestKernelMatchesReferenceProperty(t *testing.T) {
 
 		for _, op := range ops {
 			sel := op >> 3
-			switch op % 8 {
+			switch op % 6 {
 			case 0, 1, 2: // schedule with a small pseudo-random delay
 				schedule(Time(sel % 97))
-			case 3: // cancel a live event; both sides must agree
-				if tag, ok := pick(sel); ok {
-					if !s.Cancel(live[tag]) {
-						t.Logf("Cancel of live tag %d returned false", tag)
-						return false
-					}
-					if !ref.cancel(tag) {
-						t.Logf("reference missing live tag %d", tag)
-						return false
-					}
-					stale := live[tag]
-					drop(tag)
-					if s.Cancel(stale) {
-						t.Logf("second Cancel of tag %d returned true", tag)
-						return false
-					}
-				}
-			case 4: // reschedule: cancel + schedule at a fresh time
-				if tag, ok := pick(sel); ok {
-					s.Cancel(live[tag])
-					ref.cancel(tag)
-					drop(tag)
-					schedule(Time(sel % 131))
-				}
-			case 5, 6: // dispatch one event
+			case 3: // schedule further out
+				schedule(Time(sel % 131))
+			case 4, 5: // dispatch one event
 				if !checkStep() {
-					return false
-				}
-			case 7: // canceling the zero ID is always a no-op
-				if s.Cancel(EventID{}) {
-					t.Log("Cancel of zero EventID returned true")
 					return false
 				}
 			}
@@ -200,28 +142,6 @@ func TestKernelMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// TestPending covers the EventID liveness probe across fire and cancel.
-func TestPending(t *testing.T) {
-	s := NewScheduler()
-	var nop nopHandler
-	id := s.At(10, &nop, 0)
-	if !s.Pending(id) {
-		t.Error("Pending(live) = false")
-	}
-	s.Run()
-	if s.Pending(id) {
-		t.Error("Pending(fired) = true")
-	}
-	id2 := s.At(20, &nop, 0)
-	s.Cancel(id2)
-	if s.Pending(id2) {
-		t.Error("Pending(canceled) = true")
-	}
-	if s.Pending(EventID{}) {
-		t.Error("Pending(zero) = true")
-	}
-}
-
 // TestAddSat pins the saturating deadline arithmetic.
 func TestAddSat(t *testing.T) {
 	cases := []struct{ a, b, want Time }{
@@ -249,12 +169,12 @@ func TestInOverflowSaturates(t *testing.T) {
 	var nop nopHandler
 	s.At(100, &nop, 0)
 	s.RunUntil(100)
-	id := s.In(Never-50, &nop, 0)
-	if !s.Pending(id) {
+	s.In(Never-50, &nop, 0)
+	if s.Len() != 1 {
 		t.Fatal("overflowing In did not schedule")
 	}
 	s.RunUntil(Never - 1)
-	if !s.Pending(id) {
+	if s.Len() != 1 || s.Executed() != 1 {
 		t.Error("event at Never dispatched before the deadline Never-1")
 	}
 }
@@ -316,69 +236,4 @@ func BenchmarkKernelScheduleDispatchFanout(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run()
-}
-
-// BenchmarkKernelCancel measures one Cancel + one replacement At per op
-// against a 512-event pending window. Must report 0 allocs/op.
-func BenchmarkKernelCancel(b *testing.B) {
-	s := NewScheduler()
-	var nop nopHandler
-	const window = 512
-	ids := make([]EventID, window)
-	for i := range ids {
-		ids[i] = s.At(Time(i+1), &nop, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % window
-		s.Cancel(ids[j])
-		ids[j] = s.At(Time(j+1), &nop, 0)
-	}
-}
-
-// TestCancelChurnBounded cancels almost everything it schedules, into
-// both a delay-class ring and the general heap, for many rounds: stale
-// entries must be compacted away so the queue stays at the size of its
-// live population instead of growing with the number of cancels.
-func TestCancelChurnBounded(t *testing.T) {
-	s := NewScheduler()
-	var nop nopHandler
-	for i := 0; i < promoteAfter; i++ {
-		s.In(5000, &nop, 0)
-	}
-	s.Run()
-	const batch = 50
-	ids := make([]EventID, 0, 2*batch)
-	for round := 0; round < 2000; round++ {
-		ids = ids[:0]
-		for i := 0; i < batch; i++ {
-			ids = append(ids, s.In(5000, &nop, 0))
-			ids = append(ids, s.In(Time(1000+(i*7919+round*104729)%100000), &nop, 0))
-		}
-		// Keep one event of each kind per round; cancel the rest in an
-		// order that leaves stale entries at the fronts and in the middle.
-		for i := len(ids) - 1; i >= 2; i-- {
-			if !s.Cancel(ids[i]) {
-				t.Fatalf("round %d: Cancel of a live event failed", round)
-			}
-		}
-		s.RunUntil(s.Now() + 3)
-		if err := checkQueue(s); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	live := s.Len()
-	if n := len(s.q.heap); n > 2*live+2*batch {
-		t.Errorf("heap holds %d entries for %d live events", n, live)
-	}
-	for c := range s.q.rings {
-		r := &s.q.rings[c]
-		if ringLive := r.n - r.stale; r.n > 2*ringLive+2*batch || len(r.buf) > 4*(ringLive+batch) {
-			t.Errorf("ring %d holds %d entries in %d slots for %d live events", c, r.n, len(r.buf), ringLive)
-		}
-	}
-	if n := len(s.slots); n > live+2*batch {
-		t.Errorf("slab grew to %d slots for %d live events", n, live)
-	}
 }

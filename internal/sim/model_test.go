@@ -13,11 +13,10 @@ import (
 // Every dispatch draws from a per-node deterministic RNG to create 0–2
 // child events — ones inside the node's partition with arbitrary
 // (including zero) delay, ones across partitions at a lookahead floor or
-// more — and occasionally cancels its previous child, which may already
-// have fired. Because the RNG advances per dispatch, any divergence in
+// more. Because the RNG advances per dispatch, any divergence in
 // dispatch order cascades into a completely different event pattern, so
-// equality of the logs is a strong check of the queue's (at, seq) order,
-// its delay classes and its lazy cancellation.
+// equality of the logs is a strong check of the queue's (at, seq) order
+// and its delay classes.
 //
 // The test keeps the name and case table of the sharded-kernel check it
 // replaced: "shards" is the partition count k, "pairs" selects
@@ -89,36 +88,23 @@ func (m *tmodel) now() Time {
 	return m.refNow
 }
 
-// in schedules target after delay and returns a handle for cancel.
-func (m *tmodel) in(delay Time, target *tnode, arg int64) (EventID, int64) {
+// in schedules target after delay.
+func (m *tmodel) in(delay Time, target *tnode, arg int64) {
 	if m.sched != nil {
-		return m.sched.In(delay, target, arg), 0
+		m.sched.In(delay, target, arg)
+		return
 	}
 	tag := int64(m.refSeq)
 	m.ref.add(m.refNow+delay, m.refSeq, tag)
 	m.refSeq++
 	m.refTags[tag] = refPending{node: target, arg: arg}
-	return EventID{}, tag
-}
-
-func (m *tmodel) cancel(id EventID, tag int64) {
-	if m.sched != nil {
-		m.sched.Cancel(id)
-		return
-	}
-	if m.ref.cancel(tag) {
-		delete(m.refTags, tag)
-	}
 }
 
 type tnode struct {
-	m       *tmodel
-	id      int
-	r       xorshift
-	budget  int
-	lastID  EventID
-	lastTag int64
-	lastOK  bool
+	m      *tmodel
+	id     int
+	r      xorshift
+	budget int
 }
 
 func (n *tnode) OnEvent(arg int64) {
@@ -136,12 +122,7 @@ func (n *tnode) OnEvent(arg int64) {
 		if m.shardOf[target.id] != m.shardOf[n.id] {
 			delay += m.crossFloor(m.shardOf[n.id], m.shardOf[target.id])
 		}
-		n.lastID, n.lastTag = m.in(delay, target, int64(n.r.next()%1000))
-		n.lastOK = true
-	}
-	if n.lastOK && n.r.next()%8 == 0 {
-		m.cancel(n.lastID, n.lastTag)
-		n.lastOK = false
+		m.in(delay, target, int64(n.r.next()%1000))
 	}
 }
 

@@ -10,19 +10,9 @@ package sim
 // The front of the queue is the earlier of the general heap's root and
 // the root of a small binary heap over the ring heads, so dispatch
 // follows exactly the (at, seq) order of a single heap.
-//
-// Canceled events are not dug out of their ring or heap: the slot
-// generation moves on and the entry goes stale, to be skipped when it
-// reaches the front. A ring or the heap is compacted once its stale
-// entries outnumber its live ones, which bounds memory under cancel
-// churn; with no stale entry anywhere the front path does no checks.
 
-// heapClass is the class of an event in the general heap; noEntry is
-// what pop reports when nothing is due.
-const (
-	heapClass int32 = -1
-	noEntry   int32 = -2
-)
+// heapClass is the class of an event in the general heap.
+const heapClass int32 = -1
 
 const (
 	// maxClasses caps the number of delay classes (rings). The simulated
@@ -58,12 +48,10 @@ func (k key) before(o key) bool {
 	return k.at < o.at || k.at == o.at && k.seq < o.seq
 }
 
-// entry is one queued event: its key, its slab slot, and the slot
-// generation it was queued under (a mismatch means it went stale).
+// entry is one queued event: its key and its slab slot.
 type entry struct {
 	key
 	slot int32
-	gen  uint32
 }
 
 // head is one non-empty ring in the head heap, keyed by its first entry.
@@ -73,12 +61,10 @@ type head struct {
 }
 
 // ring is one delay class: a FIFO of entries in a power-of-two buffer.
-// n counts every queued entry, stale ones included.
 type ring struct {
 	buf   []entry
 	first int
 	n     int
-	stale int
 }
 
 // classTable maps delays to classes and counts the recurrence of the
@@ -102,13 +88,10 @@ type classTable struct {
 
 // queue holds every pending event of one scheduler.
 type queue struct {
-	heap      []entry
-	heapStale int
-	rings     []ring
-	heads     []head
-	classes   *classTable
-	// stale counts stale entries across the heap and every ring.
-	stale int
+	heap    []entry
+	rings   []ring
+	heads   []head
+	classes *classTable
 }
 
 // hashDelay spreads a delay over a table of 1<<bits slots (Fibonacci
@@ -168,29 +151,15 @@ func (r *ring) grow() {
 	r.buf, r.first = buf, 0
 }
 
-// front returns the earliest queued entry, stale or not, or nil when the
-// queue is empty.
-func (q *queue) front() *entry {
-	if len(q.heads) > 0 && (len(q.heap) == 0 || q.heads[0].key.before(q.heap[0].key)) {
-		r := &q.rings[q.heads[0].cls]
-		return &r.buf[r.first]
-	}
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return &q.heap[0]
-}
-
-// pop removes and returns the earliest queued entry, stale or not, and
-// the class it came from, if it is due by deadline; otherwise it
-// returns noEntry.
-func (q *queue) pop(deadline Time) (entry, int32) {
+// pop removes and returns the earliest queued entry if it is due by
+// deadline; otherwise it reports false.
+func (q *queue) pop(deadline Time) (entry, bool) {
 	if len(q.heads) > 0 && (len(q.heap) == 0 || q.heads[0].key.before(q.heap[0].key)) {
 		c := q.heads[0].cls
 		r := &q.rings[c]
 		e := r.buf[r.first]
 		if e.at > deadline {
-			return entry{}, noEntry
+			return entry{}, false
 		}
 		if r.n--; r.n > 0 {
 			r.first = (r.first + 1) & (len(r.buf) - 1)
@@ -198,26 +167,16 @@ func (q *queue) pop(deadline Time) (entry, int32) {
 		} else if len(q.heads) == 1 {
 			q.heads = q.heads[:0]
 		} else {
-			q.removeHead(0)
+			q.removeRoot()
 		}
-		return e, c
+		return e, true
 	}
 	if len(q.heap) == 0 || q.heap[0].at > deadline {
-		return entry{}, noEntry
+		return entry{}, false
 	}
 	e := q.heap[0]
 	q.popHeap()
-	return e, heapClass
-}
-
-// dropped accounts for a stale entry pop returned from class cls.
-func (q *queue) dropped(cls int32) {
-	q.stale--
-	if cls == heapClass {
-		q.heapStale--
-	} else {
-		q.rings[cls].stale--
-	}
+	return e, true
 }
 
 // pushHeap adds e to the general heap.
@@ -291,31 +250,6 @@ func (q *queue) siftUpHead(i int) {
 	hs[i] = x
 }
 
-// siftDownHead restores head-heap order from position i toward the
-// leaves and reports whether the entry moved.
-func (q *queue) siftDownHead(i int) bool {
-	hs := q.heads
-	n := len(hs)
-	x := hs[i]
-	start := i
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && hs[c+1].key.before(hs[c].key) {
-			c++
-		}
-		if !hs[c].key.before(x.key) {
-			break
-		}
-		hs[i] = hs[c]
-		i = c
-	}
-	hs[i] = x
-	return i != start
-}
-
 // replaceRoot re-keys the head heap's root to k, a later key. A ring's
 // next entry usually lies a whole gate delay ahead of the other heads,
 // so the root is sifted bottom-up (Floyd): the hole descends along the
@@ -355,78 +289,26 @@ func (q *queue) replaceRoot(k key) {
 	hs[i] = x
 }
 
-// removeHead deletes position i of the head heap.
-func (q *queue) removeHead(i int) {
+// removeRoot deletes the head heap's root: a ring that just emptied.
+func (q *queue) removeRoot() {
 	last := len(q.heads) - 1
-	q.heads[i] = q.heads[last]
+	x := q.heads[last]
 	q.heads = q.heads[:last]
-	if i < last && !q.siftDownHead(i) {
-		q.siftUpHead(i)
-	}
-}
-
-// noteStale accounts for an entry of class cls gone stale and compacts
-// its container once stale entries outnumber live ones there.
-func (s *Scheduler) noteStale(cls int32) {
-	q := &s.q
-	q.stale++
-	if cls == heapClass {
-		if q.heapStale++; 2*q.heapStale > len(q.heap) {
-			s.compactHeap()
+	hs := q.heads
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
 		}
-		return
-	}
-	r := &q.rings[cls]
-	if r.stale++; 2*r.stale > r.n {
-		s.compactRing(cls)
-	}
-}
-
-// compactHeap drops the general heap's stale entries and re-heapifies.
-// The (at, seq) keys are unique, so the new shape dispatches in the same
-// order.
-func (s *Scheduler) compactHeap() {
-	q := &s.q
-	h := q.heap
-	w := 0
-	for i := range h {
-		if !s.isStale(&h[i]) {
-			h[w] = h[i]
-			w++
+		if c+1 < last && hs[c+1].key.before(hs[c].key) {
+			c++
 		}
-	}
-	q.stale -= q.heapStale
-	q.heap, q.heapStale = h[:w], 0
-	for i := (w - 2) / heapArity; i >= 0 && w > 1; i-- {
-		q.siftDown(i, h[i])
-	}
-}
-
-// compactRing drops ring c's stale entries in place, keeping FIFO order,
-// and re-keys (or retires) its head.
-func (s *Scheduler) compactRing(c int32) {
-	q := &s.q
-	r := &q.rings[c]
-	mask := len(r.buf) - 1
-	w := 0
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.first+i)&mask]
-		if !s.isStale(&e) {
-			r.buf[(r.first+w)&mask] = e
-			w++
+		if !hs[c].key.before(x.key) {
+			break
 		}
+		hs[i] = hs[c]
+		i = c
 	}
-	q.stale -= r.stale
-	r.n, r.stale = w, 0
-	pos := 0
-	for q.heads[pos].cls != c {
-		pos++
-	}
-	if w == 0 {
-		q.removeHead(pos)
-		return
-	}
-	// Only stale entries left the ring, so its head key can only grow.
-	q.heads[pos].key = r.buf[r.first].key
-	q.siftDownHead(pos)
+	hs[i] = x
 }

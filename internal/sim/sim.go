@@ -19,8 +19,12 @@
 // Everything else (rare delays, absolute times) goes into a general
 // 4-ary heap. Dispatch takes the earlier
 // of the heap's root and the root of a small heap over the ring heads.
-// Cancel leaves a stale entry that dispatch skips; a ring or the heap is
-// compacted once its stale entries outnumber its live ones. See queue.go.
+// See queue.go.
+//
+// A scheduled event is never taken back: the model toggles every request
+// and acknowledge wire exactly once per scheduled delay. A component that
+// may lose interest in a future event (the fault layer's retransmission
+// timer) checks its own state when the event fires.
 //
 // Asynchronous NoC models are built on top of this kernel by scheduling
 // request/acknowledge toggle events between handshake components: each
@@ -48,9 +52,6 @@ const Never Time = 1<<63 - 1
 
 // Nanoseconds returns t expressed in (fractional) nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// IsNever reports whether t is the unreachable-future sentinel.
-func (t Time) IsNever() bool { return t == Never }
 
 // AddSat returns a+b saturated at Never: if either operand is Never, or
 // the sum of two non-negative operands overflows, the result is Never.
@@ -104,27 +105,11 @@ type Handler interface {
 	OnEvent(arg int64)
 }
 
-// EventID is a cancellation handle for a pending event: a slab index plus
-// a generation counter. The zero EventID never matches a live event, and
-// an ID goes stale the instant its event fires or is canceled (slot
-// generations advance on every release), so Cancel on a dead handle is a
-// safe no-op.
-type EventID struct {
-	slot int32
-	gen  uint32
-}
-
 // slot is one slab entry: the dispatch target of a pending event. Its
 // position in time lives in the queue entry that points at it.
 type slot struct {
 	h   Handler
 	arg int64
-	// gen advances on every release so stale EventIDs cannot cancel a
-	// recycled slot and stale queue entries are recognised at dispatch.
-	// It is never zero (the zero EventID is invalid).
-	gen uint32
-	// cls is the delay class whose ring holds the event, or heapClass.
-	cls int32
 }
 
 // Scheduler is a single-threaded discrete-event scheduler.
@@ -154,10 +139,9 @@ func NewScheduler() *Scheduler {
 // Now returns the current simulation time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending events: the queue's entries less
-// the stale ones canceled events left behind.
+// Len returns the number of pending events.
 func (s *Scheduler) Len() int {
-	n := len(s.q.heap) - s.q.stale
+	n := len(s.q.heap)
 	for i := range s.q.rings {
 		n += s.q.rings[i].n
 	}
@@ -167,18 +151,11 @@ func (s *Scheduler) Len() int {
 // Executed returns the total number of events dispatched so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// Pending reports whether id still refers to a queued event in s.
-func (s *Scheduler) Pending(id EventID) bool {
-	return id.gen != 0 && int(id.slot) < len(s.slots) &&
-		s.slots[id.slot].gen == id.gen && s.slots[id.slot].h != nil
-}
-
 // At enqueues h to be dispatched with arg at absolute time at. Scheduling
 // in the past (before Now) panics: in a handshake model a causality
 // violation is always a modeling bug and must not be silently reordered.
-// This is the zero-allocation hot path; the returned EventID can cancel
-// the event and costs nothing to discard.
-func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
+// This is the zero-allocation hot path.
+func (s *Scheduler) At(at Time, h Handler, arg int64) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
@@ -186,7 +163,6 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 		panic("sim: schedule with nil handler")
 	}
 	idx := s.alloc(h, arg)
-	sl := &s.slots[idx]
 	k := key{at: at, seq: s.nextSeq}
 	s.nextSeq++
 	// Find d's class and append to its ring. This is the per-toggle
@@ -202,17 +178,16 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 	if !hit {
 		c = q.lookup(d)
 	}
-	sl.cls = c
 	if c == heapClass {
-		q.pushHeap(entry{key: k, slot: idx, gen: sl.gen})
-		return EventID{slot: idx, gen: sl.gen}
+		q.pushHeap(entry{key: k, slot: idx})
+		return
 	}
 	r := &q.rings[c]
 	if r.n == len(r.buf) {
 		r.grow()
 	}
 	e := &r.buf[(r.first+r.n)&(len(r.buf)-1)]
-	e.key, e.slot, e.gen = k, idx, sl.gen
+	e.key, e.slot = k, idx
 	if r.n++; r.n == 1 {
 		if len(q.heads) == 0 {
 			q.heads = append(q.heads, head{key: k, cls: c})
@@ -220,80 +195,34 @@ func (s *Scheduler) At(at Time, h Handler, arg int64) EventID {
 			q.addHead(c, k)
 		}
 	}
-	return EventID{slot: idx, gen: sl.gen}
 }
 
 // In enqueues h to be dispatched with arg after delay picoseconds,
 // saturating at Never on overflow (an event at Never is beyond every
 // finite RunUntil deadline). The zero-allocation hot path.
-func (s *Scheduler) In(delay Time, h Handler, arg int64) EventID {
+func (s *Scheduler) In(delay Time, h Handler, arg int64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	return s.At(AddSat(s.now, delay), h, arg)
+	s.At(AddSat(s.now, delay), h, arg)
 }
 
 // alloc takes a slab slot for a new pending event.
 func (s *Scheduler) alloc(h Handler, arg int64) int32 {
-	var idx int32
 	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
+		idx := s.free[n-1]
 		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{gen: 1})
-		idx = int32(len(s.slots) - 1)
+		s.slots[idx] = slot{h: h, arg: arg}
+		return idx
 	}
-	sl := &s.slots[idx]
-	sl.h, sl.arg = h, arg
-	return idx
+	s.slots = append(s.slots, slot{h: h, arg: arg})
+	return int32(len(s.slots) - 1)
 }
 
-// Cancel removes a pending event. Canceling an already-fired,
-// already-canceled, or zero EventID is a no-op and returns false. The
-// event's queue entry is left behind stale and skipped (or compacted
-// away) later; Len drops at once.
-func (s *Scheduler) Cancel(id EventID) bool {
-	if !s.Pending(id) {
-		return false
-	}
-	cls := s.slots[id.slot].cls
-	s.release(id.slot)
-	s.noteStale(cls)
-	return true
-}
-
-// release returns a slot to the free list, advancing its generation so
-// outstanding EventIDs and queue entries for it go stale.
+// release returns a slot to the free list.
 func (s *Scheduler) release(idx int32) {
-	sl := &s.slots[idx]
-	sl.h = nil // drop the handler reference; slots outlive events
-	sl.gen++
-	if sl.gen == 0 {
-		sl.gen = 1 // skip the invalid generation on wraparound
-	}
+	s.slots[idx].h = nil // drop the handler reference; slots outlive events
 	s.free = append(s.free, idx)
-}
-
-// isStale reports whether a queue entry no longer stands for a pending
-// event: it was canceled, so the slot generation moved on.
-func (s *Scheduler) isStale(e *entry) bool {
-	return s.slots[e.slot].gen != e.gen
-}
-
-// nextAt returns the time of the earliest pending event, or Never when
-// none is pending.
-func (s *Scheduler) nextAt() Time {
-	for {
-		e := s.q.front()
-		if e == nil {
-			return Never
-		}
-		if s.q.stale == 0 || !s.isStale(e) {
-			return e.at
-		}
-		_, cls := s.q.pop(Never)
-		s.q.dropped(cls)
-	}
 }
 
 // Stop makes the currently running Run/RunUntil loop return after the
@@ -304,27 +233,19 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // deadline, advancing the clock. It reports whether an event was
 // dispatched.
 func (s *Scheduler) step(deadline Time) bool {
-	q := &s.q
-	for {
-		e, cls := q.pop(deadline)
-		if cls == noEntry {
-			return false
-		}
-		if q.stale > 0 && s.isStale(&e) {
-			q.dropped(cls)
-			continue
-		}
-		s.now = e.at
-		idx := e.slot
-		sl := &s.slots[idx]
-		h, arg := sl.h, sl.arg
-		// Release before dispatch: a self-rescheduling handler chain then
-		// recycles one slot forever instead of walking the slab.
-		s.release(idx)
-		s.executed++
-		h.OnEvent(arg)
-		return true
+	e, ok := s.q.pop(deadline)
+	if !ok {
+		return false
 	}
+	s.now = e.at
+	sl := &s.slots[e.slot]
+	h, arg := sl.h, sl.arg
+	// Release before dispatch: a self-rescheduling handler chain then
+	// recycles one slot forever instead of walking the slab.
+	s.release(e.slot)
+	s.executed++
+	h.OnEvent(arg)
+	return true
 }
 
 // Run dispatches events until the queue drains or Stop is called.

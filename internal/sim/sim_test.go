@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -111,47 +110,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	s.In(-1, funcHandler(func() {}), 0)
 }
 
-func TestCancel(t *testing.T) {
-	s := NewScheduler()
-	ran := false
-	ev := s.At(10, funcHandler(func() { ran = true }), 0)
-	if !s.Cancel(ev) {
-		t.Error("Cancel returned false for pending event")
-	}
-	if s.Cancel(ev) {
-		t.Error("second Cancel returned true")
-	}
-	if s.Cancel(EventID{}) {
-		t.Error("Cancel of the zero EventID returned true")
-	}
-	s.Run()
-	if ran {
-		t.Error("canceled event still ran")
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	s := NewScheduler()
-	var order []int
-	var evs []EventID
-	for i := 0; i < 10; i++ {
-		i := i
-		evs = append(evs, s.At(Time(i*10), funcHandler(func() { order = append(order, i) }), 0))
-	}
-	s.Cancel(evs[4])
-	s.Cancel(evs[7])
-	s.Run()
-	want := []int{0, 1, 2, 3, 5, 6, 8, 9}
-	if len(order) != len(want) {
-		t.Fatalf("got %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("got %v, want %v", order, want)
-		}
-	}
-}
-
 func TestStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
@@ -248,45 +206,6 @@ func TestHeapOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: canceling a random subset leaves exactly the complement, in order.
-func TestCancelSubsetProperty(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		s := NewScheduler()
-		n := 1 + rnd.Intn(64)
-		type rec struct {
-			ev   EventID
-			at   Time
-			keep bool
-		}
-		recs := make([]rec, n)
-		var got []Time
-		for i := range recs {
-			at := Time(rnd.Intn(1000))
-			recs[i] = rec{at: at, keep: rnd.Intn(2) == 0}
-			recs[i].ev = s.At(at, funcHandler(func() { got = append(got, at) }), 0)
-		}
-		var want []Time
-		for i := range recs {
-			if recs[i].keep {
-				want = append(want, recs[i].at)
-			} else {
-				s.Cancel(recs[i].ev)
-			}
-		}
-		s.Run()
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d events, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: dispatch %d at %v, want %v", trial, i, got[i], want[i])
-			}
-		}
 	}
 }
 

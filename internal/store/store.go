@@ -218,9 +218,6 @@ func (s *Store) SetMaxBytes(max int64) {
 	}
 }
 
-// MaxBytes returns the current eviction budget (0 = unbounded).
-func (s *Store) MaxBytes() int64 { return s.maxBytes.Load() }
-
 // sweep scans the cache directory and, when the committed bytes exceed
 // the budget, deletes oldest-access entries until the total fits. The
 // scan also re-baselines the approximate byte counter that the write
