@@ -86,21 +86,26 @@ bench-smoke:
 service-smoke:
 	sh scripts/service_smoke.sh
 
-# fuzz-smoke gives the store's entry decoder, the event kernel and the
-# -topology parser a short randomized beating on every CI run. Decode
-# must never panic, and any entry it accepts must re-encode
-# byte-identically (acceptance implies integrity). The scheduler must
+# fuzz-smoke gives the store's entry decoder, the event kernel, the
+# -topology parser and the run endpoint a short randomized beating on
+# every CI run. Decode must never panic, and any entry it accepts must
+# re-encode byte-identically (acceptance implies integrity). The scheduler must
 # dispatch exactly what the sorted-slice reference model does, with
 # exact queue and slab counts, under any mix of delay classes and
 # deadlines. ParseTopology must never panic, and any value it
 # accepts must format back to kind:WxH and parse to the same selection.
+# POST /v1/run (on a stub runner, so nothing simulates) must never
+# panic, must answer 200 or a typed 4xx, and must answer 200 only for
+# requests that pass validation.
 # Longer campaigns: go test -fuzz FuzzStoreDecode -fuzztime 10m
 # ./internal/store (or FuzzScheduler in ./internal/sim,
-# FuzzParseTopology in ./internal/cliflags).
+# FuzzParseTopology in ./internal/cliflags, FuzzRunRequest in
+# ./internal/service).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s ./internal/cliflags
+	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
 
 # test-routing is the scheme-shootout slice: the routing package (the
 # Strategy interface and all five multicast schemes) runs alone with a

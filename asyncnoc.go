@@ -371,8 +371,8 @@ func MeshSerial(w, h int) MeshSpec {
 	return MeshSpec{Name: fmt.Sprintf("Mesh%dx%dSerial", w, h), W: w, H: h, PacketLen: core.DefaultPacketLen, Serial: true}
 }
 
-// RunMesh executes one mesh simulation under the same configuration
-// contract as Run; the benchmark's destination space must equal w*h.
+// RunMesh executes one mesh simulation through the same run harness as
+// Run; the benchmark's destination space must equal w*h.
 func RunMesh(spec MeshSpec, cfg RunConfig) (RunResult, error) { return mesh.Run(spec, cfg) }
 
 // MeshSaturation searches for a mesh's saturation throughput under the
@@ -380,13 +380,6 @@ func RunMesh(spec MeshSpec, cfg RunConfig) (RunResult, error) { return mesh.Run(
 func MeshSaturation(spec MeshSpec, cfg SatConfig) (SatResult, error) {
 	return mesh.Saturation(spec, cfg)
 }
-
-// TopologySpec is the unified construction contract every network
-// description implements: NetworkSpec (a single MoT die or a chiplet
-// composition of dies) and MeshSpec (the 2D-mesh substrate). It exposes
-// the shared surface — terminal count, validation, canonical memo key —
-// so harnesses accept any topology through one parameter.
-type TopologySpec = topology.TopologySpec
 
 // ChipletParams describes the interposer of a mesh-of-MoT-chiplets
 // composition: W x H dies on a NoI mesh, with die-to-die channels
@@ -412,20 +405,6 @@ func WithChiplet(s NetworkSpec, p *ChipletParams) NetworkSpec { return core.With
 // Multicast5, or Multicast10 over the composed destination space.
 func ChipletBenchmarkByName(p *ChipletParams, dieN int, name string) (Benchmark, error) {
 	return chiplet.ByName(p, dieN, name)
-}
-
-// RunTopology executes one simulation over the unified TopologySpec
-// surface, dispatching to the matching engine: Run for NetworkSpec
-// (single-die or chiplet-composed), RunMesh for MeshSpec.
-func RunTopology(ts TopologySpec, cfg RunConfig) (RunResult, error) {
-	switch s := ts.(type) {
-	case NetworkSpec:
-		return core.Run(s, cfg)
-	case MeshSpec:
-		return mesh.Run(s, cfg)
-	default:
-		return RunResult{}, fmt.Errorf("asyncnoc: unsupported topology spec %T", ts)
-	}
 }
 
 // Injection is one entry of an explicit traffic schedule.

@@ -181,8 +181,8 @@ func TestChipletValidation(t *testing.T) {
 	}
 }
 
-// TestRunTopology exercises the unified dispatch surface with both spec
-// kinds.
+// TestRunTopology runs each topology kind through its public runner:
+// one MoT die, a 2D mesh, and a chiplet composition.
 func TestRunTopology(t *testing.T) {
 	mot := asyncnoc.OptHybridSpeculative(4)
 	cfg := asyncnoc.RunConfig{
@@ -193,19 +193,18 @@ func TestRunTopology(t *testing.T) {
 		Measure: 200 * asyncnoc.Nanosecond,
 		Drain:   200 * asyncnoc.Nanosecond,
 	}
-	res, err := asyncnoc.RunTopology(mot, cfg)
+	res, err := asyncnoc.Run(mot, cfg)
 	if err != nil || res.MeasuredPackets == 0 {
-		t.Fatalf("RunTopology(MoT): %v (%d packets)", err, res.MeasuredPackets)
+		t.Fatalf("Run(MoT): %v (%d packets)", err, res.MeasuredPackets)
 	}
-	res, err = asyncnoc.RunTopology(asyncnoc.MeshTree(2, 2), cfg)
+	res, err = asyncnoc.RunMesh(asyncnoc.MeshTree(2, 2), cfg)
 	if err != nil || res.MeasuredPackets == 0 {
-		t.Fatalf("RunTopology(mesh): %v (%d packets)", err, res.MeasuredPackets)
+		t.Fatalf("RunMesh: %v (%d packets)", err, res.MeasuredPackets)
 	}
-	var ts asyncnoc.TopologySpec = asyncnoc.WithChiplet(mot, asyncnoc.ChipletSerial(2, 2))
-	ccfg := chipletCfg(t, ts.(asyncnoc.NetworkSpec))
-	res, err = asyncnoc.RunTopology(ts, ccfg)
+	composed := asyncnoc.WithChiplet(mot, asyncnoc.ChipletSerial(2, 2))
+	res, err = asyncnoc.Run(composed, chipletCfg(t, composed))
 	if err != nil || res.D2DMeasuredPackets == 0 {
-		t.Fatalf("RunTopology(chiplet): %v (%d D2D packets)", err, res.D2DMeasuredPackets)
+		t.Fatalf("Run(chiplet): %v (%d D2D packets)", err, res.D2DMeasuredPackets)
 	}
 }
 

@@ -10,8 +10,9 @@
 // nanoseconds. The -topology flag selects the substrate: mot (default)
 // runs one MoT die, chiplet:WxH composes a WxH interposer mesh of
 // radix -n MoT dies (hierarchical benchmarks only; results carry an
-// intra-die versus die-to-die breakout), and mesh:WxH runs the
-// synchronous mesh-of-trees reference. With -sat the tool searches for the saturation throughput
+// intra-die versus die-to-die breakout), and mesh:WxH runs the 2D XY
+// mesh under the -strategy multicast scheme (fixed-load runs only; no
+// fault flags). With -sat the tool searches for the saturation throughput
 // instead of running at a fixed load; the search's probes run through
 // the parallel experiment engine with speculative bisection (-workers,
 // or the ASYNCNOC_WORKERS environment variable; default GOMAXPROCS) and
@@ -116,11 +117,21 @@ func main() {
 		if *sat || *util || *hist || *draw || *vcdPath != "" || *traceOut != "" || *dests != "" {
 			fatal(fmt.Errorf("-topology mesh:%dx%d supports only plain fixed-load runs", sel.W, sel.H))
 		}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "faults" || strings.HasPrefix(f.Name, "fault-") {
+				fatal(fmt.Errorf("-topology mesh:%dx%d has no fault layer (-%s)", sel.W, sel.H, f.Name))
+			}
+		})
 		bench, err := sel.Bench(*n, *benchName)
 		if err != nil {
 			fatal(err)
 		}
-		res, err := asyncnoc.RunTopology(sel.MeshSpec(), asyncnoc.RunConfig{
+		spec := sel.MeshSpec()
+		if *strategy != "" {
+			spec.Strategy = *strategy
+			spec.Name += "+" + *strategy
+		}
+		res, err := asyncnoc.RunMesh(spec, asyncnoc.RunConfig{
 			Bench:     bench,
 			LoadGFs:   *load,
 			Seed:      *seed,

@@ -7,6 +7,7 @@ import (
 
 	"asyncnoc"
 	"asyncnoc/internal/cliflags"
+	"asyncnoc/internal/mesh"
 )
 
 // The configuration space the CLIs and the library accept: every
@@ -165,33 +166,43 @@ func checkMoTCase(t *testing.T, spec asyncnoc.NetworkSpec, bench asyncnoc.Benchm
 	return true
 }
 
-// checkMeshCase runs one mesh configuration through the public runner:
-// it must be rejected by validation or complete every measured packet.
-// It reports whether the configuration was accepted and run.
+// checkMeshCase builds one mesh configuration and, if it is accepted,
+// runs it to quiescence like the MoT cases: no event may be left
+// pending, no flit held, and every measured packet must complete. It
+// reports whether the configuration was accepted and run.
 func checkMeshCase(t *testing.T, spec asyncnoc.MeshSpec, bench asyncnoc.Benchmark, benchErr error) (ran bool) {
 	t.Helper()
+	name := spec.Name + "/" + spec.Strategy
 	defer func() {
 		if r := recover(); r != nil {
-			t.Errorf("%s/%s: panic: %v", spec.Name, spec.Strategy, r)
+			t.Errorf("%s: panic: %v", name, r)
 		}
 	}()
 	if benchErr != nil {
 		return false
 	}
 	cfg := matrixCfg(bench)
-	// The mesh runner stops when injection does, so measured packets
-	// need a drain long enough for the serial 64-tile expansions.
-	cfg.Drain = 2 * asyncnoc.Microsecond
-	res, err := asyncnoc.RunMesh(spec, cfg)
+	m, err := mesh.Build(spec, cfg)
 	if err != nil {
 		var cerr *asyncnoc.ConfigError
 		if !errors.As(err, &cerr) && spec.Validate() == nil {
-			t.Errorf("%s/%s: failed after validation passed: %v", spec.Name, spec.Strategy, err)
+			t.Errorf("%s: build failed after validation passed: %v", name, err)
 		}
-		return false
+		return false // rejected by validation or construction; Build runs no event
 	}
-	if res.MeasuredPackets == 0 || res.Completion != 1 {
-		t.Errorf("%s/%s: %d measured packets, completion %v", spec.Name, spec.Strategy, res.MeasuredPackets, res.Completion)
+	end := cfg.Warmup + cfg.Measure + cfg.Drain
+	m.Sched.RunUntil(end) // injection stops here
+	m.Sched.RunUntil(end + quiesceWithin)
+	if !m.Quiesced() {
+		t.Errorf("%s: %d events still pending %v after injection stopped", name, m.Sched.Len(), quiesceWithin)
+		return true
+	}
+	if stuck := m.StuckFlits(); len(stuck) > 0 {
+		t.Errorf("%s: quiesced with %d flits held, first %+v", name, len(stuck), stuck[0])
+		return true
+	}
+	if n := m.Rec.MeasuredCreated(); n == 0 || m.Rec.CompletionRate() != 1 {
+		t.Errorf("%s: %d measured packets, completion %v", name, n, m.Rec.CompletionRate())
 	}
 	return true
 }

@@ -7,8 +7,10 @@ import (
 	"strings"
 
 	"asyncnoc/internal/fault"
+	"asyncnoc/internal/metrics"
 	"asyncnoc/internal/network"
 	"asyncnoc/internal/packet"
+	"asyncnoc/internal/power"
 	"asyncnoc/internal/rng"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
@@ -242,7 +244,7 @@ func RunContext(ctx context.Context, spec network.Spec, cfg RunConfig) (res RunR
 			maxEvents *= mul
 		}
 	}
-	if err := runGuarded(ctx, nw, total, maxEvents); err != nil {
+	if err := runGuarded(ctx, motRig(nw), total, maxEvents); err != nil {
 		_ = finishInstruments(cfg.Instruments) // best effort on an aborted run
 		return RunResult{}, err
 	}
@@ -272,14 +274,14 @@ type holdStreak struct {
 	count int
 }
 
-// runGuarded drives the scheduler to `total` simulated picoseconds under
-// the watchdog. Without a context deadline or event budget it is the
-// plain single RunUntil of the original harness (bit-identical); with
-// either, the same event sequence is dispatched in bounded chunks so the
-// run can abort between batches. In both modes quiescence with flits
-// still held in the fabric is diagnosed as a deadlock.
-func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEvents uint64) error {
-	sched := nw.Sched
+// runGuarded drives the rig's scheduler to `total` simulated picoseconds
+// under the watchdog. Without a context deadline or event budget it is
+// the plain single RunUntil of the original harness (bit-identical);
+// with either, the same event sequence is dispatched in bounded chunks
+// so the run can abort between batches. In both modes quiescence with
+// flits still held in the fabric is diagnosed as a deadlock.
+func runGuarded(ctx context.Context, r Rig, total sim.Time, maxEvents uint64) error {
+	sched := r.Scheduler()
 	if ctx.Done() == nil && maxEvents == 0 {
 		sched.RunUntil(total)
 	} else {
@@ -290,7 +292,6 @@ func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEve
 		// With faults enabled, watch for wedged links: injection runs for
 		// the whole span, so a stuck channel never quiesces the event
 		// queue — instead it pins one flit in one channel forever.
-		watchHolds := nw.FaultStats() != nil
 		streaks := make(map[int]holdStreak)
 		for t := chunk; ; t = sim.AddSat(t, chunk) {
 			if t > total {
@@ -301,11 +302,11 @@ func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEve
 				return err
 			}
 			if maxEvents > 0 && sched.Executed() > maxEvents {
-				return &LivelockError{Network: nw.Spec.Name, Events: sched.Executed(), At: sched.Now()}
+				return &LivelockError{Network: r.Name, Events: sched.Executed(), At: sched.Now()}
 			}
-			if watchHolds {
+			if r.holds != nil {
 				next := make(map[int]holdStreak)
-				for _, h := range nw.ChannelHolds() {
+				for _, h := range r.holds() {
 					s := streaks[h.Chan]
 					if s.hold == h {
 						s.count++
@@ -313,13 +314,13 @@ func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEve
 						s = holdStreak{hold: h, count: 1}
 					}
 					if s.count >= heldBoundaries {
-						return &DeadlockError{Network: nw.Spec.Name, At: sched.Now(), Stuck: nw.StuckFlits()}
+						return &DeadlockError{Network: r.Name, At: sched.Now(), Stuck: r.StuckFlits()}
 					}
 					next[h.Chan] = s
 				}
 				streaks = next
 			}
-			if t >= total || nw.Quiesced() {
+			if t >= total || r.Quiesced() {
 				break
 			}
 		}
@@ -327,12 +328,60 @@ func runGuarded(ctx context.Context, nw *network.Network, total sim.Time, maxEve
 			sched.RunUntil(total) // advance the clock past an early quiescence
 		}
 	}
-	if nw.Quiesced() {
-		if stuck := nw.StuckFlits(); len(stuck) > 0 {
-			return &DeadlockError{Network: nw.Spec.Name, At: sched.Now(), Stuck: stuck}
+	if r.Quiesced() {
+		if stuck := r.StuckFlits(); len(stuck) > 0 {
+			return &DeadlockError{Network: r.Name, At: sched.Now(), Stuck: stuck}
 		}
 	}
 	return nil
+}
+
+// Fabric is what the run loop asks of a built network. The MoT network
+// (one die or a chiplet composition) and the 2D mesh both implement it.
+type Fabric interface {
+	// Scheduler is the fabric's event kernel.
+	Scheduler() *sim.Scheduler
+	// Inject creates one packet from terminal src to dests at the
+	// current simulation time.
+	Inject(src int, dests packet.DestSet) (*packet.Packet, error)
+	// Quiesced reports whether the fabric has nothing left to do.
+	Quiesced() bool
+	// StuckFlits lists every flit still held inside the fabric.
+	StuckFlits() []network.StuckFlit
+}
+
+// Rig is a built fabric together with what the harness reads from it:
+// its reporting name, terminal count and packet length, and the
+// recorder and energy meter its measurements come from.
+type Rig struct {
+	Fabric
+	Name      string
+	Terminals int
+	PacketLen int
+	Rec       *metrics.Recorder
+	Meter     *power.Meter
+
+	// injectWide and dies drive hierarchical injection on a chiplet
+	// composition; holds samples in-flight channels for the wedged-link
+	// watch of fault runs. All are MoT-only and zero elsewhere.
+	injectWide func(src int, byDie []packet.DestSet) error
+	dies       int
+	holds      func() []network.ChannelHold
+}
+
+// motRig describes a MoT network to the harness.
+func motRig(nw *network.Network) Rig {
+	r := Rig{
+		Fabric: nw, Name: nw.Spec.Name, Terminals: nw.Spec.Terminals(),
+		PacketLen: nw.Spec.PacketLen, Rec: nw.Rec, Meter: nw.Meter,
+	}
+	if nw.Spec.Chiplet != nil {
+		r.injectWide, r.dies = nw.InjectWide, nw.Spec.Dies()
+	}
+	if nw.FaultStats() != nil {
+		r.holds = nw.ChannelHolds
+	}
+	return r
 }
 
 // Build constructs the network with injection processes armed and
@@ -346,48 +395,65 @@ func Build(spec network.Spec, cfg RunConfig) (*network.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	var wide traffic.WideBenchmark
 	if spec.Chiplet != nil {
-		w, ok := cfg.Bench.(traffic.WideBenchmark)
-		if !ok {
+		if _, ok := cfg.Bench.(traffic.WideBenchmark); !ok {
 			return nil, fmt.Errorf("core: benchmark %s cannot address chiplet composition %s (needs traffic.WideBenchmark)",
 				cfg.Bench.Name(), spec.Name)
 		}
-		wide = w
 	}
+	Arm(motRig(nw), cfg)
+	return nw, nil
+}
+
+// Arm sets the rig's measurement windows from cfg and starts one
+// open-loop Poisson injector per terminal, each stopping once the drain
+// window closes. cfg must be valid.
+func Arm(r Rig, cfg RunConfig) {
 	windowEnd := sim.AddSat(cfg.Warmup, cfg.Measure)
-	nw.Rec.SetWindow(cfg.Warmup, windowEnd)
-	nw.Meter.SetWindow(cfg.Warmup, windowEnd)
+	r.Rec.SetWindow(cfg.Warmup, windowEnd)
+	r.Meter.SetWindow(cfg.Warmup, windowEnd)
 	injectUntil := sim.AddSat(windowEnd, cfg.Drain)
 	// Mean packet inter-arrival in ps: PacketLen flits at LoadGFs
 	// flits/ns per source.
-	meanGapPs := float64(spec.PacketLen) / cfg.LoadGFs * 1000
-	terms := spec.Terminals()
+	meanGapPs := float64(r.PacketLen) / cfg.LoadGFs * 1000
 	// Pre-size the recorder from the injection schedule: open-loop
 	// Poisson processes inject span/meanGap packets each in expectation.
 	// The 9/8 headroom absorbs ordinary Poisson fluctuation; an
 	// underestimate only costs amortized growth.
-	expected := float64(injectUntil) / meanGapPs * float64(terms)
-	nw.Rec.Reserve(int(expected*9/8) + terms)
+	expected := float64(injectUntil) / meanGapPs * float64(r.Terminals)
+	r.Rec.Reserve(int(expected*9/8) + r.Terminals)
+	sched := r.Scheduler()
 	root := rng.New(cfg.Seed)
-	for s := 0; s < terms; s++ {
+	for s := 0; s < r.Terminals; s++ {
 		inj := &injector{
-			nw: nw, bench: cfg.Bench, src: s, r: root.Split(),
+			fab: r.Fabric, sched: sched, bench: cfg.Bench, src: s, r: root.Split(),
 			meanGapPs: meanGapPs, injectUntil: injectUntil,
 		}
-		if wide != nil {
-			inj.wide, inj.byDie = wide, make([]packet.DestSet, spec.Dies())
+		if r.injectWide != nil {
+			inj.wide, inj.injectWide = cfg.Bench.(traffic.WideBenchmark), r.injectWide
+			inj.byDie = make([]packet.DestSet, r.dies)
 		}
-		nw.Sched.In(gap(inj.r, meanGapPs), inj, 0)
+		sched.In(gap(inj.r, meanGapPs), inj, 0)
 	}
-	return nw, nil
+}
+
+// Drive runs an armed rig to the end of cfg's windows under the
+// watchdog (context, cfg.MaxEvents budget, quiesced-with-held-flits
+// deadlock) and returns the measurements every fabric reports.
+func Drive(ctx context.Context, r Rig, cfg RunConfig) (RunResult, error) {
+	total := sim.AddSat(sim.AddSat(cfg.Warmup, cfg.Measure), cfg.Drain)
+	if err := runGuarded(ctx, r, total, cfg.MaxEvents); err != nil {
+		return RunResult{}, err
+	}
+	return measure(r, cfg.Bench.Name(), cfg.LoadGFs), nil
 }
 
 // injector drives one source's open-loop Poisson process: each event
 // injects a packet and re-arms itself after an exponential gap, stopping
 // once the drain window closes.
 type injector struct {
-	nw          *network.Network
+	fab         Fabric
+	sched       *sim.Scheduler
 	bench       traffic.Benchmark
 	src         int
 	r           *rng.Source
@@ -396,27 +462,28 @@ type injector struct {
 
 	// wide/byDie drive hierarchical injection on chiplet compositions:
 	// the benchmark fills one local destination mask per die into the
-	// injector-owned scratch buffer and the packet enters via InjectWide.
-	wide  traffic.WideBenchmark
-	byDie []packet.DestSet
+	// injector-owned scratch buffer and the packet enters via injectWide.
+	wide       traffic.WideBenchmark
+	injectWide func(src int, byDie []packet.DestSet) error
+	byDie      []packet.DestSet
 }
 
 // OnEvent implements sim.Handler.
 func (in *injector) OnEvent(int64) {
-	if in.nw.Sched.Now() >= in.injectUntil {
+	if in.sched.Now() >= in.injectUntil {
 		return
 	}
 	if in.wide != nil {
 		in.wide.NextWideDests(in.src, in.byDie, in.r)
-		if err := in.nw.InjectWide(in.src, in.byDie); err != nil {
+		if err := in.injectWide(in.src, in.byDie); err != nil {
 			panic(fault.Violationf(fmt.Sprintf("benchmark %s", in.bench.Name()), "%v", err))
 		}
-	} else if _, err := in.nw.Inject(in.src, in.bench.NextDests(in.src, in.r)); err != nil {
+	} else if _, err := in.fab.Inject(in.src, in.bench.NextDests(in.src, in.r)); err != nil {
 		// A benchmark producing an invalid destination set is a
 		// protocol-level modeling bug; surface it as one.
 		panic(fault.Violationf(fmt.Sprintf("benchmark %s", in.bench.Name()), "%v", err))
 	}
-	in.nw.Sched.In(gap(in.r, in.meanGapPs), in, 0)
+	in.sched.In(gap(in.r, in.meanGapPs), in, 0)
 }
 
 // gap draws an exponential inter-arrival time of at least 1 ps.
@@ -433,26 +500,33 @@ func Collect(nw *network.Network, cfg RunConfig) RunResult {
 	return collect(nw, cfg.Bench.Name(), cfg.LoadGFs)
 }
 
-// collect builds the RunResult of a finished network driven by the named
-// benchmark at the given offered load.
-func collect(nw *network.Network, bench string, loadGFs float64) RunResult {
+// measure builds the RunResult fields every fabric reports for a
+// finished rig driven by the named benchmark at the given offered load.
+func measure(r Rig, bench string, loadGFs float64) RunResult {
 	res := RunResult{
-		Network:         nw.Spec.Name,
+		Network:         r.Name,
 		Benchmark:       bench,
 		LoadGFs:         loadGFs,
-		ThroughputGFs:   nw.Rec.ThroughputGFs(nw.Spec.Terminals()),
-		PowerMW:         nw.Meter.PowerMW(),
-		Completion:      nw.Rec.CompletionRate(),
-		MeasuredPackets: nw.Rec.MeasuredCreated(),
+		ThroughputGFs:   r.Rec.ThroughputGFs(r.Terminals),
+		PowerMW:         r.Meter.PowerMW(),
+		Completion:      r.Rec.CompletionRate(),
+		MeasuredPackets: r.Rec.MeasuredCreated(),
 	}
-	if sum := nw.Rec.LatencySummary(); sum.Count() > 0 {
+	if sum := r.Rec.LatencySummary(); sum.Count() > 0 {
 		// Sort-once summary: one sort serves all four latency figures.
 		res.AvgLatencyNs = sum.Mean()
 		res.P50LatencyNs = sum.P50()
 		res.P95LatencyNs = sum.P95()
 		res.P99LatencyNs = sum.P99()
 	}
-	res.LostMeasuredPackets = nw.Rec.MeasuredLost()
+	res.LostMeasuredPackets = r.Rec.MeasuredLost()
+	return res
+}
+
+// collect builds the RunResult of a finished MoT network: the shared
+// measurements plus the fanout-level, chiplet and fault breakouts.
+func collect(nw *network.Network, bench string, loadGFs float64) RunResult {
+	res := measure(motRig(nw), bench, loadGFs)
 	res.Levels = nw.MoT.Levels
 	copy(res.ForwardsPerLevel[:], nw.Rec.ForwardsPerLevel())
 	copy(res.ThrottlesPerLevel[:], nw.Rec.ThrottlesPerLevel())

@@ -103,7 +103,7 @@ func RunSchedule(spec network.Spec, sched Schedule, drain sim.Time) (res RunResu
 	for i := range ordered {
 		nw.Sched.At(ordered[i].At, rp, int64(i))
 	}
-	if err := runGuarded(context.Background(), nw, end, 0); err != nil {
+	if err := runGuarded(context.Background(), motRig(nw), end, 0); err != nil {
 		return RunResult{}, err
 	}
 	return collect(nw, "schedule", 0), nil

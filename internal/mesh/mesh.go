@@ -21,16 +21,15 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
 
 	"asyncnoc/internal/metrics"
+	"asyncnoc/internal/network"
 	"asyncnoc/internal/node"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/power"
 	"asyncnoc/internal/routing"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/timing"
-	"asyncnoc/internal/topology"
 )
 
 // Router port indices.
@@ -57,8 +56,8 @@ type Spec struct {
 	// Strategy names the multicast routing scheme that partitions
 	// injections (see routing.StrategyNames). Empty keeps the spec's
 	// default: serial unicasts when Serial, one tree-routed packet
-	// otherwise. The mesh Hamiltonian order is the boustrophedon (snake)
-	// tile order, and DPM merge costs count XY-tree link traversals.
+	// otherwise. The mesh's routing Path is the boustrophedon (snake)
+	// tile order, and its link cost counts XY-tree link traversals.
 	Strategy string
 }
 
@@ -67,8 +66,8 @@ func (s Spec) Validate() error {
 	if s.W < 2 || s.H < 1 || s.W*s.H > 64 {
 		return fmt.Errorf("mesh %s: dimensions %dx%d unsupported (2..64 tiles)", s.Name, s.W, s.H)
 	}
-	if s.PacketLen < 1 {
-		return fmt.Errorf("mesh %s: packet length %d < 1", s.Name, s.PacketLen)
+	if err := packet.CheckLength(s.PacketLen); err != nil {
+		return fmt.Errorf("mesh %s: %w", s.Name, err)
 	}
 	if s.Strategy != "" {
 		if _, err := routing.StrategyByName(s.Strategy); err != nil {
@@ -81,20 +80,6 @@ func (s Spec) Validate() error {
 // Tiles returns the terminal count.
 func (s Spec) Tiles() int { return s.W * s.H }
 
-// TopologyName implements topology.TopologySpec.
-func (s Spec) TopologyName() string { return s.Name }
-
-// Terminals implements topology.TopologySpec.
-func (s Spec) Terminals() int { return s.Tiles() }
-
-// CanonicalKey implements topology.TopologySpec: every behavioral field
-// participates, so equal keys mean replayed runs.
-func (s Spec) CanonicalKey() string {
-	return fmt.Sprintf("mesh|%s|%dx%d|%d|%v|%s", s.Name, s.W, s.H, s.PacketLen, s.Serial, s.Strategy)
-}
-
-var _ topology.TopologySpec = Spec{}
-
 // Mesh is one simulated mesh instance.
 type Mesh struct {
 	Spec  Spec
@@ -106,6 +91,12 @@ type Mesh struct {
 	sources []*sourceNI
 	sinks   []*sinkNI
 	nextID  uint64
+
+	// strat plans every injection over the mesh's routing Path;
+	// planBuf/emitPlan collect the planned packets' destination sets.
+	strat    routing.Strategy
+	planBuf  []packet.DestSet
+	emitPlan func(packet.DestSet)
 }
 
 // New builds a mesh network.
@@ -119,7 +110,13 @@ func New(spec Spec) (*Mesh, error) {
 		Sched: sched,
 		Rec:   metrics.NewRecorder(),
 		Meter: power.NewMeter(sched.Now),
+		strat: routing.DefaultStrategy(spec.Serial),
 	}
+	if spec.Strategy != "" {
+		// Validate() vetted the name.
+		m.strat, _ = routing.StrategyByName(spec.Strategy)
+	}
+	m.emitPlan = func(d packet.DestSet) { m.planBuf = append(m.planBuf, d) }
 	m.build()
 	return m, nil
 }
@@ -225,10 +222,14 @@ func (m *Mesh) build() {
 	}
 }
 
-// snakePos returns a tile's position on the mesh's Hamiltonian path: the
-// boustrophedon (snake) order that walks each row alternately left-to-
-// right and right-to-left, so consecutive positions are mesh neighbors.
-func (m *Mesh) snakePos(d int) int {
+// Len implements routing.Path: one position per tile.
+func (m *Mesh) Len() int { return m.Spec.Tiles() }
+
+// Pos implements routing.Path: a tile's position on the mesh's
+// Hamiltonian path, the boustrophedon (snake) order that walks each row
+// alternately left-to-right and right-to-left, so consecutive positions
+// are mesh neighbors.
+func (m *Mesh) Pos(d int) int {
 	x, y := m.Coord(d)
 	if y%2 == 1 {
 		x = m.Spec.W - 1 - x
@@ -236,56 +237,8 @@ func (m *Mesh) snakePos(d int) int {
 	return y*m.Spec.W + x
 }
 
-// meshChain is one ordered delivery group of a planned injection.
-type meshChain struct {
-	dests packet.DestSet
-	desc  bool // serial expansion walks the snake order backwards
-}
-
-// chains partitions one injection under the spec's strategy, in
-// delivery order.
-func (m *Mesh) chains(src int, dests packet.DestSet) []meshChain {
-	name := m.Spec.Strategy
-	if name == "" {
-		if m.Spec.Serial {
-			name = routing.SerialUnicastName
-		} else {
-			name = routing.TreeMulticastName
-		}
-	}
-	switch name {
-	case routing.SerialUnicastName:
-		out := make([]meshChain, 0, dests.Count())
-		dests.ForEach(func(d int) { out = append(out, meshChain{dests: packet.Dest(d)}) })
-		return out
-	case routing.PathBasedName:
-		up, down := routing.PathSplit(m.snakePos, m.snakePos(src), dests)
-		var out []meshChain
-		if !up.Empty() {
-			out = append(out, meshChain{dests: up})
-		}
-		if !down.Empty() {
-			out = append(out, meshChain{dests: down, desc: true})
-		}
-		return out
-	case routing.DPMName:
-		parts := make([]packet.DestSet, 0, dests.Count())
-		dests.ForEach(func(d int) { parts = append(parts, packet.Dest(d)) })
-		sort.Slice(parts, func(i, j int) bool {
-			return m.snakePos(parts[i].First()) < m.snakePos(parts[j].First())
-		})
-		parts = routing.MergeAdjacent(parts, func(s packet.DestSet) int { return m.xyLinks(src, s) })
-		out := make([]meshChain, len(parts))
-		for i, part := range parts {
-			out[i] = meshChain{dests: part}
-		}
-		return out
-	default:
-		// TreeMulticast and SpeculativeMulticast: the mesh has no
-		// speculation, both are the single destination-encoded packet.
-		return []meshChain{{dests: dests}}
-	}
-}
+// Cost implements routing.Path with the XY link count.
+func (m *Mesh) Cost(src int, dests packet.DestSet) int { return m.xyLinks(src, dests) }
 
 // xyLinks counts the link traversals (router-to-router plus delivery
 // locals) of delivering dests from src: the XY multicast tree's links on
@@ -336,19 +289,6 @@ func absInt(v int) int {
 	return v
 }
 
-// snakeOrdered returns the set's members ordered by snake position,
-// reversed when desc is set (injection planning; cold path).
-func (m *Mesh) snakeOrdered(s packet.DestSet, desc bool) []int {
-	ds := s.Members()
-	sort.Slice(ds, func(i, j int) bool {
-		if desc {
-			return m.snakePos(ds[i]) > m.snakePos(ds[j])
-		}
-		return m.snakePos(ds[i]) < m.snakePos(ds[j])
-	})
-	return ds
-}
-
 // Inject creates a logical packet from tile src to dests at the current
 // simulation time, partitioned under the spec's routing strategy: a
 // single-partition plan covering the whole set rides the logical packet
@@ -372,28 +312,65 @@ func (m *Mesh) Inject(src int, dests packet.DestSet) (*packet.Packet, error) {
 		Length: m.Spec.PacketLen, CreatedAt: int64(now),
 	}
 	m.Rec.PacketCreated(p, now)
-	chains := m.chains(src, dests)
-	if len(chains) == 1 && chains[0].dests == dests && !(m.Spec.Serial && dests.Count() > 1) {
+	m.planBuf = m.planBuf[:0]
+	if err := m.strat.Plan(m, m.Spec.Serial, src, dests, m.emitPlan); err != nil {
+		return nil, err
+	}
+	if len(m.planBuf) == 1 && m.planBuf[0] == dests {
 		m.sources[src].enqueue(p)
 		return p, nil
 	}
-	clone := func(sub packet.DestSet) {
+	for _, sub := range m.planBuf {
 		m.nextID++
 		m.sources[src].enqueue(&packet.Packet{
 			ID: m.nextID, Src: src, Dests: sub,
 			Length: m.Spec.PacketLen, Parent: p, CreatedAt: int64(now),
 		})
 	}
-	for _, c := range chains {
-		if !m.Spec.Serial {
-			clone(c.dests)
-			continue
+	return p, nil
+}
+
+// Scheduler implements core.Fabric.
+func (m *Mesh) Scheduler() *sim.Scheduler { return m.Sched }
+
+// Quiesced implements core.Fabric: no event is pending.
+func (m *Mesh) Quiesced() bool { return m.Sched.Len() == 0 }
+
+// portNames labels router ports in diagnostics.
+var portNames = [numPorts]string{"N", "E", "S", "W", "L"}
+
+// StuckFlits implements core.Fabric: it walks every injection queue,
+// router stage and channel in tile order and reports each flit still
+// held inside the mesh. A quiesced mesh that holds a flit is deadlocked.
+func (m *Mesh) StuckFlits() []network.StuckFlit {
+	var out []network.StuckFlit
+	add := func(where string, f packet.Flit) {
+		out = append(out, network.StuckFlit{Where: where, Flit: f.String()})
+	}
+	for t, src := range m.sources {
+		for _, f := range src.queue {
+			add(fmt.Sprintf("source %d queue", t), f)
 		}
-		for _, d := range m.snakeOrdered(c.dests, c.desc) {
-			clone(packet.Dest(d))
+		if f, ok := src.out.InFlightFlit(); ok {
+			add(fmt.Sprintf("channel source %d", t), f)
+		}
+		r := m.routers[t]
+		for p := 0; p < numPorts; p++ {
+			if r.inHas[p] {
+				add(fmt.Sprintf("router (%d,%d) input %s", r.X, r.Y, portNames[p]), r.inCur[p])
+			}
+			for _, f := range r.fifo[p] {
+				add(fmt.Sprintf("router (%d,%d) fifo.%s", r.X, r.Y, portNames[p]), f)
+			}
+			if r.out[p] == nil {
+				continue // mesh edge
+			}
+			if f, ok := r.out[p].InFlightFlit(); ok {
+				add(fmt.Sprintf("channel router (%d,%d).%s", r.X, r.Y, portNames[p]), f)
+			}
 		}
 	}
-	return p, nil
+	return out
 }
 
 // SourceQueueLen returns one tile's injection backlog in flits.

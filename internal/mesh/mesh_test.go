@@ -1,11 +1,14 @@
 package mesh
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"asyncnoc/internal/core"
 	"asyncnoc/internal/packet"
 	"asyncnoc/internal/rng"
+	"asyncnoc/internal/routing"
 	"asyncnoc/internal/sim"
 	"asyncnoc/internal/traffic"
 )
@@ -26,10 +29,17 @@ func TestSpecValidation(t *testing.T) {
 		{W: 1, H: 1, PacketLen: 5},
 		{W: 9, H: 8, PacketLen: 5}, // 72 tiles > 64
 		{W: 4, H: 4, PacketLen: 0},
+		{W: 4, H: 4, PacketLen: packet.MaxLength + 1},
 	} {
 		if s.Validate() == nil {
 			t.Errorf("invalid spec accepted: %+v", s)
 		}
+	}
+	long := treeSpec(4, 4)
+	long.PacketLen = packet.MaxLength + 1
+	var lerr *packet.LengthError
+	if err := long.Validate(); !errors.As(err, &lerr) {
+		t.Errorf("packet length %d: Validate = %v, want *packet.LengthError", long.PacketLen, err)
 	}
 }
 
@@ -386,4 +396,75 @@ func abs(v int) int {
 		return -v
 	}
 	return v
+}
+
+// TestRunEventBudget: the shared harness's watchdog stops a mesh run
+// that dispatches more events than RunConfig.MaxEvents allows.
+func TestRunEventBudget(t *testing.T) {
+	cfg := core.DefaultRunConfig(16)
+	cfg.MaxEvents = 10
+	_, err := Run(treeSpec(4, 4), cfg)
+	var lerr *core.LivelockError
+	if !errors.As(err, &lerr) || lerr.Events <= 10 {
+		t.Fatalf("Run with MaxEvents 10 = %v, want *core.LivelockError past 10 events", err)
+	}
+}
+
+// TestPlanOrder pins each scheme's packet order on a serial 4x2 mesh,
+// whose snake path visits tiles 0,1,2,3,7,6,5,4: SerialUnicast walks
+// index order, serial expansion and DPM walk path order, and PathBased
+// sends the chain at or after the source forwards, then the rest
+// backwards.
+func TestPlanOrder(t *testing.T) {
+	dests := packet.Dests(1, 4, 6, 7)
+	cases := []struct {
+		strategy string
+		want     []packet.DestSet
+	}{
+		{routing.SerialUnicastName, []packet.DestSet{packet.Dest(1), packet.Dest(4), packet.Dest(6), packet.Dest(7)}},
+		{routing.TreeMulticastName, []packet.DestSet{packet.Dest(1), packet.Dest(7), packet.Dest(6), packet.Dest(4)}},
+		{routing.DPMName, []packet.DestSet{packet.Dest(1), packet.Dest(7), packet.Dest(6), packet.Dest(4)}},
+		{routing.PathBasedName, []packet.DestSet{packet.Dest(6), packet.Dest(4), packet.Dest(7), packet.Dest(1)}},
+	}
+	for _, c := range cases {
+		spec := serialSpec(4, 2)
+		spec.PacketLen = 1
+		spec.Strategy = c.strategy
+		m, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Inject(6, dests); err != nil {
+			t.Fatal(err)
+		}
+		ni := m.sources[6]
+		first, _ := ni.out.InFlightFlit()
+		got := []packet.DestSet{first.Pkt.Dests}
+		for _, f := range ni.queue {
+			got = append(got, f.Pkt.Dests)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: packets %v, want %v", c.strategy, got, c.want)
+		}
+	}
+}
+
+// TestStuckFlits: a mesh reports the flits it holds mid-run and none
+// once it has quiesced.
+func TestStuckFlits(t *testing.T) {
+	m, err := New(treeSpec(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Inject(0, packet.Dests(5, 15)); err != nil {
+		t.Fatal(err)
+	}
+	m.Sched.RunUntil(500)
+	if m.Quiesced() || len(m.StuckFlits()) == 0 {
+		t.Fatalf("mid-run: quiesced %v, %d held flits; want a busy mesh holding flits", m.Quiesced(), len(m.StuckFlits()))
+	}
+	m.Sched.Run()
+	if !m.Quiesced() || len(m.StuckFlits()) != 0 {
+		t.Fatalf("after the run: quiesced %v, held %v", m.Quiesced(), m.StuckFlits())
+	}
 }

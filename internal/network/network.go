@@ -87,11 +87,8 @@ func (s Spec) Dies() int {
 // Terminal g lives on die g/N at local index g%N.
 func (s Spec) Terminals() int { return s.Dies() * s.N }
 
-// TopologyName implements topology.TopologySpec.
-func (s Spec) TopologyName() string { return s.Name }
-
-// CanonicalKey implements topology.TopologySpec: a stable serialization
-// of every behavior-affecting field. The single-die form is
+// CanonicalKey is a stable serialization of every behavior-affecting
+// field, the spec's part of the engine memo key. The single-die form is
 // byte-identical to the historical engine memo key, so persistent
 // result stores stay warm across this API's introduction; chiplet
 // compositions append their parameters.
@@ -106,13 +103,10 @@ func (s Spec) CanonicalKey() string {
 	return key
 }
 
-// Spec satisfies the unified topology-spec surface.
-var _ topology.TopologySpec = Spec{}
-
 // Validate checks internal consistency.
 func (s Spec) Validate() error {
-	if s.PacketLen < 1 {
-		return fmt.Errorf("network %s: packet length %d < 1", s.Name, s.PacketLen)
+	if err := packet.CheckLength(s.PacketLen); err != nil {
+		return fmt.Errorf("network %s: %w", s.Name, err)
 	}
 	if s.Serial && s.NonSpecKind != node.Baseline {
 		return fmt.Errorf("network %s: serial baseline must use baseline fanout nodes", s.Name)
@@ -127,9 +121,6 @@ func (s Spec) Validate() error {
 	}
 	if err := s.Faults.Validate(s.N); err != nil {
 		return fmt.Errorf("network %s: %w", s.Name, err)
-	}
-	if s.Faults.Enabled() && s.PacketLen > 63 {
-		return fmt.Errorf("network %s: packet length %d > 63 unsupported with faults (rx bitmask)", s.Name, s.PacketLen)
 	}
 	if s.N > packet.MaxDests {
 		return fmt.Errorf("network %s: die radix %d > %d (destination sets are %d-bit masks; compose smaller dies with a chiplet spec)",
@@ -265,10 +256,11 @@ type Network struct {
 	// sample flit occupancy (fault mode only).
 	chans []*node.Channel
 
-	// strat plans every injection and decodes every header against
-	// fabric.
+	// strat plans every injection over fabric, the MoT's routing Path
+	// (path is the same value, boxed once at build time).
 	strat  routing.Strategy
 	fabric routing.Fabric
+	path   routing.Path
 
 	nextID uint64
 
@@ -290,13 +282,16 @@ type Network struct {
 
 	// planBuf/emitPlan are the reusable plan-collection plumbing of
 	// injectLeg.
-	planBuf  []routing.Plan
-	emitPlan func(routing.Plan)
+	planBuf  []packet.DestSet
+	emitPlan func(packet.DestSet)
 }
 
 // Group always returns nil. Callers that must run a network on its one
 // Scheduler still check it; every network is serial.
 func (nw *Network) Group() any { return nil }
+
+// Scheduler returns the network's event kernel.
+func (nw *Network) Scheduler() *sim.Scheduler { return nw.Sched }
 
 // Quiesced reports whether the network has nothing left to do: every
 // pending event, if any, is a dead retry timer.
@@ -333,12 +328,13 @@ func New(spec Spec) (*Network, error) {
 		nw.Rec.SetHierarchy(true)
 	}
 	nw.fabric = routing.Fabric{Placement: pl, Serial: spec.Serial}
+	nw.path = nw.fabric
 	nw.strat = routing.DefaultStrategy(spec.Serial)
 	if spec.Strategy != "" {
 		// Validate() vetted the name.
 		nw.strat, _ = routing.StrategyByName(spec.Strategy)
 	}
-	nw.emitPlan = func(p routing.Plan) { nw.planBuf = append(nw.planBuf, p) }
+	nw.emitPlan = func(d packet.DestSet) { nw.planBuf = append(nw.planBuf, d) }
 	sched := sim.NewScheduler()
 	nw.Sched = sched
 	nw.Meter = power.NewMeter(sched.Now)
@@ -397,12 +393,6 @@ func (nw *Network) releaseCopy(p *packet.Packet) {
 			nw.pktFree = append(nw.pktFree, parent)
 		}
 	}
-}
-
-// decodeSym is the fanout nodes' route decode, delegated to the
-// network's routing strategy.
-func (nw *Network) decodeSym(heap int, route uint64) routing.Symbol {
-	return nw.strat.Decode(nw.fabric, heap, route)
 }
 
 // kindFor returns the node behavior for heap position k.
@@ -487,7 +477,6 @@ func (nw *Network) build() {
 		nw.fanins[t] = make([]*node.Fanin, n)
 		for k := 1; k < n; k++ {
 			fo := node.NewFanout(nw.Sched, nw.kindFor(k), t, k, nw.Placement, fifoCap, nw.Spec.Protocol)
-			fo.SetDecoder(nw.decodeSym)
 			if nw.Spec.SyncPeriod > 0 {
 				fo.Clock(nw.Spec.SyncPeriod)
 			}
@@ -662,12 +651,16 @@ func (nw *Network) injectLeg(anchor, origin int, dests packet.DestSet, created s
 		nw.Trace(TraceEvent{Kind: TraceInject, At: now, Flit: packet.Flit{Pkt: p}})
 	}
 	nw.planBuf = nw.planBuf[:0]
-	if err := nw.strat.Plan(nw.fabric, anchor%nw.Spec.N, dests, nw.emitPlan); err != nil {
+	if err := nw.strat.Plan(nw.path, nw.Spec.Serial, anchor%nw.Spec.N, dests, nw.emitPlan); err != nil {
 		return nil, err
 	}
 	plans := nw.planBuf
-	if !nw.Spec.Serial && len(plans) == 1 && plans[0].Dests == dests {
-		p.Route = plans[0].Route
+	if !nw.Spec.Serial && len(plans) == 1 && plans[0] == dests {
+		route, err := nw.fabric.Route(dests)
+		if err != nil {
+			return nil, err
+		}
+		p.Route = route
 		nw.sources[anchor].enqueue(p)
 		return p, nil
 	}
@@ -676,15 +669,19 @@ func (nw *Network) injectLeg(anchor, origin int, dests packet.DestSet, created s
 	if nw.pooling {
 		p.Refs = int32(len(plans))
 	}
-	for i := range plans {
+	for _, sub := range plans {
+		route, err := nw.fabric.Route(sub)
+		if err != nil {
+			return nil, err
+		}
 		clone := nw.allocPacket()
 		nw.nextID++
 		clone.ID = nw.nextID
 		clone.Src = origin
 		clone.D2DHops = p.D2DHops
-		clone.Dests = plans[i].Dests
+		clone.Dests = sub
 		clone.Length = nw.Spec.PacketLen
-		clone.Route = plans[i].Route
+		clone.Route = route
 		clone.Parent = p
 		clone.CreatedAt = int64(created)
 		nw.sources[anchor].enqueue(clone)

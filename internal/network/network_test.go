@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -48,6 +49,12 @@ func TestSpecValidation(t *testing.T) {
 	bad.PacketLen = 0
 	if _, err := New(bad); err == nil {
 		t.Error("zero packet length accepted")
+	}
+	// Every spec, with or without faults, is held to packet.MaxLength.
+	bad.PacketLen = packet.MaxLength + 1
+	var lerr *packet.LengthError
+	if _, err := New(bad); !errors.As(err, &lerr) {
+		t.Errorf("packet length %d: New = %v, want *packet.LengthError", bad.PacketLen, err)
 	}
 	bad = baselineSpec(8)
 	bad.NonSpecKind = node.NonSpec

@@ -122,13 +122,6 @@ type Fanout struct {
 	nextAllowed sim.Time
 	retryArmed  bool
 
-	// decode maps the node's heap index and a header's packed route word
-	// to its forwarding directive. NewFanout installs the placement
-	// default; the network overrides it with the routing strategy's
-	// decode (the two agree for every registered strategy — the override
-	// keeps the node honest to whatever scheme encoded the header).
-	decode RouteDecoder
-
 	// Per-packet routing state captured at the header.
 	storedSym routing.Symbol
 	liveDirs  [2]bool // opt-spec: directions with downstream addressing activity
@@ -150,7 +143,7 @@ func NewFanout(sched *sim.Scheduler, kind Kind, tree, heap int, pl *topology.Pla
 		panic(fmt.Sprintf("node: fanout FIFO capacity %d < 1", fifoCap))
 	}
 	backing := make([]packet.Flit, 2*fifoCap)
-	n := &Fanout{
+	return &Fanout{
 		sched:     sched,
 		kind:      kind,
 		t:         timing.MustByName(kind.NetlistName()).ForProtocol(proto),
@@ -160,39 +153,6 @@ func NewFanout(sched *sim.Scheduler, kind Kind, tree, heap int, pl *topology.Pla
 		cap:       fifoCap,
 		fifo:      [2][]packet.Flit{backing[:fifoCap:fifoCap], backing[fifoCap:]},
 	}
-	if kind == Baseline {
-		n.decode = n.baselineDecode
-	} else {
-		n.decode = n.placementDecode
-	}
-	return n
-}
-
-// RouteDecoder maps one node's heap index and a packet's packed route
-// word to the 2-bit forwarding directive the node applies.
-type RouteDecoder func(heap int, route uint64) routing.Symbol
-
-// SetDecoder installs a routing strategy's per-node decode in place of
-// the placement-derived default; a nil decoder keeps the default.
-func (n *Fanout) SetDecoder(d RouteDecoder) {
-	if d != nil {
-		n.decode = d
-	}
-}
-
-// baselineDecode reads the 1-bit-per-level unicast path field of the
-// serial baseline.
-func (n *Fanout) baselineDecode(heap int, route uint64) routing.Symbol {
-	if routing.BaselinePort(route, n.placement.MoT().LevelOf(heap)) == topology.Top {
-		return routing.SymTop
-	}
-	return routing.SymBottom
-}
-
-// placementDecode reads the placement's 2-bit multicast field
-// (speculative nodes broadcast).
-func (n *Fanout) placementDecode(heap int, route uint64) routing.Symbol {
-	return routing.NodeSymbol(n.placement, heap, route)
 }
 
 // Clock reconfigures the node as one stage of a synchronous pipeline
@@ -271,7 +231,7 @@ func (n *Fanout) route(f packet.Flit) (dirs [2]bool, fwd sim.Time, absorb bool) 
 		// 1-bit source routing; the Address Storage Unit holds the
 		// header's bit for the body and tail flits.
 		if hdr {
-			n.storedSym = n.decode(n.Heap, f.Pkt.Route)
+			n.storedSym = routing.DecodeSymbol(routing.Fabric{Placement: n.placement, Serial: true}, n.Heap, f.Pkt.Route)
 		}
 		dirs[topology.Top] = n.storedSym.Wants(topology.Top)
 		dirs[topology.Bottom] = n.storedSym.Wants(topology.Bottom)
@@ -284,7 +244,7 @@ func (n *Fanout) route(f packet.Flit) (dirs [2]bool, fwd sim.Time, absorb bool) 
 		// 2-bit source routing with throttle; the optimized variant
 		// fast-forwards body/tail flits on pre-allocated channels.
 		if hdr {
-			n.storedSym = n.decode(n.Heap, f.Pkt.Route)
+			n.storedSym = routing.DecodeSymbol(routing.Fabric{Placement: n.placement}, n.Heap, f.Pkt.Route)
 		} else if n.kind == OptNonSpec {
 			fwd = n.t.FwdBody
 		}

@@ -21,6 +21,30 @@ import (
 // carries one local DestSet per die.
 const MaxDests = 64
 
+// MaxLength is the longest packet a network spec may declare. The fault
+// layer's receive bitmask tracks one bit per flit index of a packet in a
+// 64-bit word, and every fanout node and mesh router sizes its FIFOs
+// from the length when the network is built, so both topologies apply
+// this one limit whether or not faults are enabled.
+const MaxLength = 63
+
+// LengthError rejects a spec's packet length outside [1, MaxLength].
+type LengthError struct {
+	Length int
+}
+
+func (e *LengthError) Error() string {
+	return fmt.Sprintf("packet length %d outside [1,%d] (packet.MaxLength)", e.Length, MaxLength)
+}
+
+// CheckLength returns a *LengthError unless 1 <= length <= MaxLength.
+func CheckLength(length int) error {
+	if length < 1 || length > MaxLength {
+		return &LengthError{Length: length}
+	}
+	return nil
+}
+
 // DestSet is a bitmask over destination terminal indices (bit d set means
 // destination d is addressed). It supports networks of up to 64 terminals
 // per side, far beyond the 8x8 and 16x16 MoTs studied in the paper.

@@ -21,8 +21,9 @@
 // strategy.go layers the pluggable Strategy interface over these encoders:
 // five registered multicast schemes (serial unicast, tree multicast,
 // simplified speculative multicast, path-based, and Dynamic Partition
-// Merging) that plan logical injections into physical packets while
-// sharing the per-node decode above.
+// Merging), each one partition step over a fabric's Path, which plan
+// logical injections into physical packets on the MoT and the 2D mesh
+// alike. Every MoT packet is decoded by DecodeSymbol.
 package routing
 
 import (

@@ -8,14 +8,16 @@ import (
 	"asyncnoc/internal/topology"
 )
 
-// This file promotes the package's encode/decode functions into a
-// pluggable Strategy layer (ROADMAP item 3): a multicast scheme decides
-// how one logical destination set becomes physical packets (the plan),
-// how a fanout node decodes a packed route word, and what header width
-// the scheme costs. Five schemes are registered:
+// This file promotes the package's encoders into a pluggable Strategy
+// layer: a multicast scheme decides how one logical destination set
+// becomes physical packets (the plan) and what header width the scheme
+// costs. Every scheme is one partition step over a Path, the fabric's
+// Hamiltonian order plus the link cost of a destination set, so the same
+// five schemes drive the MoT (index order, LinkCost) and the 2D mesh
+// (snake order, XY-tree links). Five schemes are registered:
 //
 //   - SerialUnicast: one unicast packet per destination, in ascending
-//     order — the paper's serial baseline, now available on every fabric.
+//     index order — the paper's serial baseline, available on every fabric.
 //   - TreeMulticast: one tree-replicated packet for the whole set, with
 //     every fanout node addressed (the paper's parallel multicast).
 //   - SpeculativeMulticast: the same single-packet plan under the
@@ -24,21 +26,22 @@ import (
 //     bits across the 8x8 architectures). The default multicast scheme.
 //   - PathBased: dual-path multicast from the related work
 //     (arXiv:1610.00751): destinations split into an "up" partition
-//     (>= source, delivered in ascending Hamiltonian order) and a
-//     "down" partition (< source, descending), one packet each.
+//     (at or after the source on the path, delivered in path order) and
+//     a "down" partition (before it, delivered backwards), one packet each.
 //   - DPM: Dynamic Partition Merging (arXiv:2108.00566): start from
-//     per-destination partitions in Hamiltonian order and greedily merge
+//     per-destination partitions in path order and greedily merge
 //     adjacent partitions while the merged plan costs fewer link
 //     traversals than the parts separately.
 //
-// All schemes share one per-node decode: the fabric's nodes read 2-bit
-// route fields (or 1-bit path fields on the serial baseline) exactly as
-// before, so a strategy changes packet structure, never node hardware.
+// On a serial (unicast-only) fabric every delivery chain of a plan
+// expands into one unicast per destination, in path order. A strategy
+// changes packet structure, never node hardware: the fanout nodes decode
+// every route word with DecodeSymbol.
 
-// Fabric is the routing-relevant description of a network: its
+// Fabric is the routing-relevant description of a MoT network: its
 // speculation placement (which also carries the MoT geometry) and
 // whether it is the serial baseline whose nodes decode 1-bit unicast
-// path routes.
+// path routes. It is the MoT's Path: index order and LinkCost.
 type Fabric struct {
 	Placement *topology.Placement
 	Serial    bool
@@ -47,26 +50,50 @@ type Fabric struct {
 // MoT returns the fabric's tree geometry.
 func (f Fabric) MoT() *topology.MoT { return f.Placement.MoT() }
 
-// Plan is one physical packet of a strategy's expansion of a logical
-// multicast: the destination subset it covers and its packed route word.
-type Plan struct {
-	Dests packet.DestSet
-	Route uint64
+// Len implements Path: one position per terminal.
+func (f Fabric) Len() int { return f.MoT().N }
+
+// Pos implements Path: the MoT's Hamiltonian order is the destination
+// index order itself.
+func (f Fabric) Pos(d int) int { return d }
+
+// Cost implements Path. Every source's fanout tree has the same shape,
+// so the cost does not depend on src.
+func (f Fabric) Cost(_ int, dests packet.DestSet) int { return LinkCost(f, dests) }
+
+// Route encodes one planned packet's route word: the 1-bit unicast path
+// of its single destination on the serial fabric, the placement's 2-bit
+// multicast fields elsewhere.
+func (f Fabric) Route(dests packet.DestSet) (uint64, error) {
+	if f.Serial {
+		return EncodeBaseline(f.MoT(), dests.First())
+	}
+	return EncodeMulticast(f.Placement, dests)
+}
+
+// Path is what the partition step asks of a fabric: its terminal count,
+// each terminal's position in [0, Len()) on its Hamiltonian path
+// (consecutive positions are neighbors), and the link traversals of delivering a
+// destination set from src in one packet — or, on a serial fabric, in
+// its unicast expansion.
+type Path interface {
+	Len() int
+	Pos(d int) int
+	Cost(src int, dests packet.DestSet) int
 }
 
 // Strategy is a multicast routing scheme.
 type Strategy interface {
 	// Name is the scheme's registry and reporting name.
 	Name() string
-	// Plan expands one logical injection into physical packets, calling
-	// emit once per packet in injection order. Implementations validate
-	// src and dests against the fabric before emitting anything.
-	Plan(f Fabric, src int, dests packet.DestSet, emit func(Plan)) error
-	// Decode returns the forwarding directive fanout node heap applies
-	// to a route word produced by Plan.
-	Decode(f Fabric, heap int, route uint64) Symbol
+	// Plan expands one logical injection from src into physical packets
+	// over path p, calling emit once per packet destination set in
+	// injection order; serial expands every delivery chain into
+	// unicasts in path order. It validates src and dests against p
+	// before emitting anything.
+	Plan(p Path, serial bool, src int, dests packet.DestSet, emit func(packet.DestSet)) error
 	// HeaderBits is the scheme's per-packet header address width on the
-	// fabric, extending the Section 5.2(d) cost comparison.
+	// MoT fabric, extending the Section 5.2(d) cost comparison.
 	HeaderBits(f Fabric) int
 }
 
@@ -79,9 +106,9 @@ const (
 	DPMName                  = "DPM"
 )
 
-// DecodeSymbol is the shared per-node decode every registered strategy
-// uses: baseline nodes read their 1-bit path field, multicast fabrics
-// read the placement's 2-bit field (speculative nodes broadcast).
+// DecodeSymbol is the per-node decode of every scheme: baseline nodes
+// read their 1-bit path field, multicast fabrics read the placement's
+// 2-bit field (speculative nodes broadcast).
 func DecodeSymbol(f Fabric, heap int, route uint64) Symbol {
 	if f.Serial {
 		if BaselinePort(route, f.MoT().LevelOf(heap)) == topology.Top {
@@ -92,9 +119,7 @@ func DecodeSymbol(f Fabric, heap int, route uint64) Symbol {
 	return NodeSymbol(f.Placement, heap, route)
 }
 
-// forEachDesc visits the set's destinations in descending order (the
-// "down" chain of path-based delivery walks the Hamiltonian order
-// backwards).
+// forEachDesc visits the set's members in descending order.
 func forEachDesc(s packet.DestSet, fn func(d int)) {
 	for v := uint64(s); v != 0; {
 		d := bits.Len64(v) - 1
@@ -103,45 +128,51 @@ func forEachDesc(s packet.DestSet, fn func(d int)) {
 	}
 }
 
-// emitChain expands one ordered delivery group into physical packets:
-// on the serial fabric every member becomes its own unicast packet in
-// chain order (descending when desc is set), elsewhere the whole group
-// rides one tree-encoded packet.
-func emitChain(f Fabric, dests packet.DestSet, desc bool, emit func(Plan)) error {
-	if dests.Empty() {
-		return nil
-	}
-	if !f.Serial {
-		route, err := EncodeMulticast(f.Placement, dests)
-		if err != nil {
-			return err
-		}
-		emit(Plan{Dests: dests, Route: route})
-		return nil
-	}
-	var encErr error
-	one := func(d int) {
-		if encErr != nil {
-			return
-		}
-		route, err := EncodeBaseline(f.MoT(), d)
-		if err != nil {
-			encErr = err
-			return
-		}
-		emit(Plan{Dests: packet.Dest(d), Route: route})
-	}
-	if desc {
-		forEachDesc(dests, one)
-	} else {
-		dests.ForEach(one)
-	}
-	return encErr
+// pathOrder re-indexes a set by path position: the set of occupied
+// positions and the member at each of them.
+func pathOrder(p Path, s packet.DestSet) (onPath packet.DestSet, at [packet.MaxDests]int8) {
+	s.ForEach(func(d int) {
+		q := p.Pos(d)
+		onPath = onPath.Add(q)
+		at[q] = int8(d)
+	})
+	return onPath, at
 }
 
-// validatePlan rejects the argument errors every scheme shares.
-func validatePlan(f Fabric, src int, dests packet.DestSet) error {
-	n := f.MoT().N
+// emitChain emits one delivery chain: the whole group as one packet, or
+// on a serial fabric one unicast per member in path order (backwards
+// when desc is set).
+func emitChain(p Path, serial bool, dests packet.DestSet, desc bool, emit func(packet.DestSet)) {
+	if dests.Empty() {
+		return
+	}
+	if !serial {
+		emit(dests)
+		return
+	}
+	onPath, at := pathOrder(p, dests)
+	one := func(q int) { emit(packet.Dest(int(at[q]))) }
+	if desc {
+		forEachDesc(onPath, one)
+	} else {
+		onPath.ForEach(one)
+	}
+}
+
+// scheme implements Strategy over two closures: the partition step and
+// the header cost.
+type scheme struct {
+	name string
+	plan func(p Path, serial bool, src int, dests packet.DestSet, emit func(packet.DestSet))
+	bits func(f Fabric) int
+}
+
+// Name implements Strategy.
+func (s *scheme) Name() string { return s.name }
+
+// Plan implements Strategy.
+func (s *scheme) Plan(p Path, serial bool, src int, dests packet.DestSet, emit func(packet.DestSet)) error {
+	n := p.Len()
 	if src < 0 || src >= n {
 		return fmt.Errorf("routing: source %d outside [0,%d)", src, n)
 	}
@@ -151,31 +182,8 @@ func validatePlan(f Fabric, src int, dests packet.DestSet) error {
 	if extra := dests &^ packet.Range(0, n); !extra.Empty() {
 		return fmt.Errorf("routing: destinations %v outside [0,%d)", extra, n)
 	}
+	s.plan(p, serial, src, dests, emit)
 	return nil
-}
-
-// scheme implements Strategy over two closures; all registered schemes
-// share DecodeSymbol, so only planning and header cost vary.
-type scheme struct {
-	name string
-	plan func(f Fabric, src int, dests packet.DestSet, emit func(Plan)) error
-	bits func(f Fabric) int
-}
-
-// Name implements Strategy.
-func (s *scheme) Name() string { return s.name }
-
-// Plan implements Strategy.
-func (s *scheme) Plan(f Fabric, src int, dests packet.DestSet, emit func(Plan)) error {
-	if err := validatePlan(f, src, dests); err != nil {
-		return err
-	}
-	return s.plan(f, src, dests, emit)
-}
-
-// Decode implements Strategy.
-func (s *scheme) Decode(f Fabric, heap int, route uint64) Symbol {
-	return DecodeSymbol(f, heap, route)
 }
 
 // HeaderBits implements Strategy. The serial baseline always carries the
@@ -188,14 +196,12 @@ func (s *scheme) HeaderBits(f Fabric) int {
 }
 
 // PathSplit partitions a destination set for dual-path delivery around
-// the source's Hamiltonian position: up holds the destinations at or
-// after the source on the path, down the rest. pos maps a destination to
-// its path position; srcPos is the source's. On the MoT the Hamiltonian
-// order is the destination index order itself (pos is identity); the 2D
-// mesh substrate passes its snake order.
-func PathSplit(pos func(d int) int, srcPos int, dests packet.DestSet) (up, down packet.DestSet) {
+// the source's position on path p: up holds the destinations at or
+// after the source, down the rest.
+func PathSplit(p Path, src int, dests packet.DestSet) (up, down packet.DestSet) {
+	srcPos := p.Pos(src)
 	dests.ForEach(func(d int) {
-		if pos(d) >= srcPos {
+		if p.Pos(d) >= srcPos {
 			up = up.Add(d)
 		} else {
 			down = down.Add(d)
@@ -265,17 +271,17 @@ func LinkCost(f Fabric, dests packet.DestSet) int {
 // ceilDiv is ceil(a/b) for positive operands.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// single is the plan of both tree schemes: the whole set as one chain.
+func single(p Path, serial bool, _ int, dests packet.DestSet, emit func(packet.DestSet)) {
+	emitChain(p, serial, dests, false, emit)
+}
+
 var (
 	serialUnicast = &scheme{
 		name: SerialUnicastName,
-		plan: func(f Fabric, _ int, dests packet.DestSet, emit func(Plan)) error {
-			var err error
-			dests.ForEach(func(d int) {
-				if err == nil {
-					err = emitChain(f, packet.Dest(d), false, emit)
-				}
-			})
-			return err
+		// Index order on every fabric: each destination is its own chain.
+		plan: func(_ Path, _ bool, _ int, dests packet.DestSet, emit func(packet.DestSet)) {
+			dests.ForEach(func(d int) { emit(packet.Dest(d)) })
 		},
 		// Nominally each unicast needs only its path bits, but a
 		// multicast fabric's nodes read the placement's 2-bit fields, so
@@ -285,9 +291,7 @@ var (
 
 	treeMulticast = &scheme{
 		name: TreeMulticastName,
-		plan: func(f Fabric, _ int, dests packet.DestSet, emit func(Plan)) error {
-			return emitChain(f, dests, false, emit)
-		},
+		plan: single,
 		// Parallel multicast addresses every fanout node: 2 bits per
 		// node (14 for the 8x8 MoT), the paper's pre-simplification cost.
 		bits: func(f Fabric) int { return 2 * f.MoT().NodesPerTree() },
@@ -295,21 +299,17 @@ var (
 
 	speculativeMulticast = &scheme{
 		name: SpeculativeMulticastName,
-		plan: func(f Fabric, _ int, dests packet.DestSet, emit func(Plan)) error {
-			return emitChain(f, dests, false, emit)
-		},
+		plan: single,
 		// Simplified source routing: only addressable nodes carry fields.
 		bits: func(f Fabric) int { return f.Placement.AddressBits() },
 	}
 
 	pathBased = &scheme{
 		name: PathBasedName,
-		plan: func(f Fabric, src int, dests packet.DestSet, emit func(Plan)) error {
-			up, down := PathSplit(func(d int) int { return d }, src, dests)
-			if err := emitChain(f, up, false, emit); err != nil {
-				return err
-			}
-			return emitChain(f, down, true, emit)
+		plan: func(p Path, serial bool, src int, dests packet.DestSet, emit func(packet.DestSet)) {
+			up, down := PathSplit(p, src, dests)
+			emitChain(p, serial, up, false, emit)
+			emitChain(p, serial, down, true, emit)
 		},
 		// Each dual-path header is provisioned to list half the
 		// terminals, log2(n) bits per listed destination.
@@ -321,17 +321,15 @@ var (
 
 	dpm = &scheme{
 		name: DPMName,
-		plan: func(f Fabric, _ int, dests packet.DestSet, emit func(Plan)) error {
-			var buf [64]packet.DestSet
+		plan: func(p Path, serial bool, src int, dests packet.DestSet, emit func(packet.DestSet)) {
+			var buf [packet.MaxDests]packet.DestSet
 			parts := buf[:0]
-			dests.ForEach(func(d int) { parts = append(parts, packet.Dest(d)) })
-			parts = MergeAdjacent(parts, func(s packet.DestSet) int { return LinkCost(f, s) })
+			onPath, at := pathOrder(p, dests)
+			onPath.ForEach(func(q int) { parts = append(parts, packet.Dest(int(at[q]))) })
+			parts = MergeAdjacent(parts, func(s packet.DestSet) int { return p.Cost(src, s) })
 			for _, part := range parts {
-				if err := emitChain(f, part, false, emit); err != nil {
-					return err
-				}
+				emitChain(p, serial, part, false, emit)
 			}
-			return nil
 		},
 		// The merged-partition header must hold the worst case of every
 		// destination in one partition: n entries of log2(n) bits.
@@ -368,9 +366,9 @@ func StrategyByName(name string) (Strategy, error) {
 }
 
 // DefaultStrategy returns the scheme a fabric uses when the spec names
-// none: the serial baseline expands multicasts into ascending unicasts,
-// every other architecture uses the paper's simplified speculative
-// multicast. Both reproduce the pre-strategy behavior bit-identically.
+// none: a serial fabric expands multicasts into unicasts in index
+// order, every other fabric sends the whole set as one packet (the
+// paper's simplified speculative multicast on the MoT).
 func DefaultStrategy(serial bool) Strategy {
 	if serial {
 		return serialUnicast

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,15 +25,39 @@ func fabricFor(t *testing.T, n int, sc topology.Scheme, serial bool) Fabric {
 	return Fabric{Placement: p, Serial: serial}
 }
 
-// strategyWalk replays a planned packet through the fanout tree using the
-// strategy's own Decode, returning the delivered destination set. It is
-// the per-plan oracle of the differential property test.
-func strategyWalk(f Fabric, s Strategy, route uint64) packet.DestSet {
+// Plan is one physical packet of a MoT plan: the destination subset it
+// covers and its packed route word.
+type Plan struct {
+	Dests packet.DestSet
+	Route uint64
+}
+
+// planRoutes plans one injection on the MoT fabric and encodes each
+// packet's route word, as the network does.
+func planRoutes(f Fabric, s Strategy, src int, dests packet.DestSet, emit func(Plan)) error {
+	var encErr error
+	err := s.Plan(f, f.Serial, src, dests, func(d packet.DestSet) {
+		route, err := f.Route(d)
+		if err != nil && encErr == nil {
+			encErr = err
+		}
+		emit(Plan{Dests: d, Route: route})
+	})
+	if err != nil {
+		return err
+	}
+	return encErr
+}
+
+// strategyWalk replays a planned packet through the fanout tree using
+// the nodes' DecodeSymbol, returning the delivered destination set. It
+// is the per-plan oracle of the differential property test.
+func strategyWalk(f Fabric, route uint64) packet.DestSet {
 	m := f.MoT()
 	var delivered packet.DestSet
 	var walk func(k int)
 	walk = func(k int) {
-		sym := s.Decode(f, k, route)
+		sym := DecodeSymbol(f, k, route)
 		for _, port := range []topology.Port{topology.Top, topology.Bottom} {
 			if !sym.Wants(port) {
 				continue
@@ -63,13 +88,13 @@ func TestStrategyPlanDelivery(t *testing.T) {
 		for _, s := range Strategies() {
 			var union packet.DestSet
 			ok := true
-			err := s.Plan(f, src, dests, func(pl Plan) {
+			err := planRoutes(f, s, src, dests, func(pl Plan) {
 				if !union.Intersect(pl.Dests).Empty() {
 					t.Logf("seed %d %s: plan overlaps earlier plans (%v)", seed, s.Name(), pl.Dests)
 					ok = false
 				}
 				union |= pl.Dests
-				if got := strategyWalk(f, s, pl.Route); got != pl.Dests {
+				if got := strategyWalk(f, pl.Route); got != pl.Dests {
 					t.Logf("seed %d %s: plan %v decoded to %v", seed, s.Name(), pl.Dests, got)
 					ok = false
 				}
@@ -113,7 +138,7 @@ func TestStrategyValidation(t *testing.T) {
 	}
 	for _, s := range Strategies() {
 		for _, c := range cases {
-			err := s.Plan(f, c.src, c.dests, func(Plan) {
+			err := s.Plan(f, f.Serial, c.src, c.dests, func(packet.DestSet) {
 				t.Errorf("%s/%s: emitted a plan despite invalid input", s.Name(), c.name)
 			})
 			if err == nil {
@@ -166,23 +191,70 @@ func TestHeaderBitsGolden(t *testing.T) {
 	}
 }
 
+// orderPath is a test Path over n terminals with an explicit position
+// map and a cost function.
+type orderPath struct {
+	pos  []int
+	cost func(packet.DestSet) int
+}
+
+func (p orderPath) Len() int                         { return len(p.pos) }
+func (p orderPath) Pos(d int) int                    { return p.pos[d] }
+func (p orderPath) Cost(_ int, s packet.DestSet) int { return p.cost(s) }
+
 // TestPathSplit: destinations at or after the source's path position go
 // up, the rest down, under both the identity order and a custom one.
 func TestPathSplit(t *testing.T) {
-	identity := func(d int) int { return d }
+	identity := orderPath{pos: []int{0, 1, 2, 3, 4, 5, 6, 7}}
 	up, down := PathSplit(identity, 3, packet.Dests(0, 1, 3, 5))
 	if up != packet.Dests(3, 5) || down != packet.Dests(0, 1) {
 		t.Errorf("identity split: up=%v down=%v, want up={3,5} down={0,1}", up, down)
 	}
-	// Reversed order flips the partitions (position 7-d, source at pos 4).
-	rev := func(d int) int { return 7 - d }
-	up, down = PathSplit(rev, 4, packet.Dests(0, 1, 3, 5))
+	// Reversed order flips the partitions (position 7-d, source 3 at
+	// position 4).
+	rev := orderPath{pos: []int{7, 6, 5, 4, 3, 2, 1, 0}}
+	up, down = PathSplit(rev, 3, packet.Dests(0, 1, 3, 5))
 	if up != packet.Dests(0, 1, 3) || down != packet.Dest(5) {
 		t.Errorf("reversed split: up=%v down=%v, want up={0,1,3} down={5}", up, down)
 	}
 	up, down = PathSplit(identity, 0, packet.Dests(0, 7))
 	if up != packet.Dests(0, 7) || !down.Empty() {
 		t.Errorf("all-up split: up=%v down=%v", up, down)
+	}
+}
+
+// TestPlanFollowsPath: on a non-identity path every scheme keeps its
+// emission order: SerialUnicast walks index order, DPM's partitions and
+// every serial expansion walk path order, and PathBased's down chain
+// walks it backwards.
+func TestPlanFollowsPath(t *testing.T) {
+	// Snake order of a 4x2 mesh: row 0 left to right, row 1 right to left.
+	snake := orderPath{pos: []int{0, 1, 2, 3, 7, 6, 5, 4}, cost: func(s packet.DestSet) int { return s.Count() }}
+	dests := packet.Dests(1, 4, 6, 7)
+	cases := []struct {
+		name   string
+		serial bool
+		src    int
+		want   []packet.DestSet
+	}{
+		{SerialUnicastName, false, 0, []packet.DestSet{packet.Dest(1), packet.Dest(4), packet.Dest(6), packet.Dest(7)}},
+		{TreeMulticastName, true, 0, []packet.DestSet{packet.Dest(1), packet.Dest(7), packet.Dest(6), packet.Dest(4)}},
+		{DPMName, false, 0, []packet.DestSet{packet.Dest(1), packet.Dest(7), packet.Dest(6), packet.Dest(4)}},
+		{PathBasedName, false, 6, []packet.DestSet{packet.Dests(4, 6), packet.Dests(1, 7)}},
+		{PathBasedName, true, 6, []packet.DestSet{packet.Dest(6), packet.Dest(4), packet.Dest(7), packet.Dest(1)}},
+	}
+	for _, c := range cases {
+		s, err := StrategyByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []packet.DestSet
+		if err := s.Plan(snake, c.serial, c.src, dests, func(d packet.DestSet) { got = append(got, d) }); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s serial=%v: plans %v, want %v", c.name, c.serial, got, c.want)
+		}
 	}
 }
 
@@ -244,7 +316,7 @@ func TestLinkCost(t *testing.T) {
 func countPlans(t *testing.T, f Fabric, s Strategy, src int, dests packet.DestSet) []packet.DestSet {
 	t.Helper()
 	var out []packet.DestSet
-	if err := s.Plan(f, src, dests, func(p Plan) { out = append(out, p.Dests) }); err != nil {
+	if err := s.Plan(f, f.Serial, src, dests, func(d packet.DestSet) { out = append(out, d) }); err != nil {
 		t.Fatalf("%s: %v", s.Name(), err)
 	}
 	return out

@@ -25,6 +25,10 @@ const (
 	DefaultRequestTimeout = 2 * time.Minute
 	// DefaultRetryAfter is the hint sent with 429/503 responses.
 	DefaultRetryAfter = 1 * time.Second
+	// MaxSweepPoints bounds a sweep request's load grid (cmd/loadsweep
+	// defaults to 8 points): after the saturation search every point
+	// becomes one engine job and one goroutine.
+	MaxSweepPoints = 64
 	// maxBodyBytes bounds request bodies; a run or sweep request is a
 	// few hundred bytes, so 1 MiB is already generous.
 	maxBodyBytes = 1 << 20
@@ -219,8 +223,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrKindBadRequest, err.Error())
 		return
 	}
-	if req.Points < 1 {
-		writeError(w, http.StatusBadRequest, ErrKindBadRequest, "sweep needs at least one point")
+	if req.Points < 1 || req.Points > MaxSweepPoints {
+		writeError(w, http.StatusBadRequest, ErrKindBadRequest,
+			fmt.Sprintf("sweep points %d outside [1,%d] (MaxSweepPoints)", req.Points, MaxSweepPoints))
 		return
 	}
 	if req.MaxFraction <= 0 {

@@ -20,7 +20,7 @@ import (
 
 // testRunRequest builds a small, fast Fig.6a-style job (the same shape
 // the crash-recovery tests use).
-func testRunRequest(t *testing.T, seed uint64) RunRequest {
+func testRunRequest(t testing.TB, seed uint64) RunRequest {
 	t.Helper()
 	spec, err := core.SpecByName(8, core.NameOptHybridSpec)
 	if err != nil {
